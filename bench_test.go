@@ -871,12 +871,15 @@ func BenchmarkServeUserBatch(b *testing.B) {
 	b.Run("shards", func(b *testing.B) {
 		ts := httptest.NewServer(newServer(dir))
 		defer ts.Close()
+		// Ranks run 1..users, and the generator keeps fewer users than
+		// benchN, so draw them modulo the dataset's own size.
+		users := ds.Graph.NumNodes()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			// A distinct rank list each iteration defeats the body memo, so
 			// the rows resolve through the shard tier every time.
-			r := 1 + i%benchN
-			post(ts, fmt.Sprintf(`{"ranks":[%d,%d,%d]}`, r, 1+(r+97)%benchN, 1+(r+4211)%benchN))
+			r := 1 + i%users
+			post(ts, fmt.Sprintf(`{"ranks":[%d,%d,%d]}`, r, 1+(r+97)%users, 1+(r+4211)%users))
 		}
 	})
 }

@@ -98,14 +98,6 @@ func (h *Hasher) String(s string) {
 	}
 }
 
-// Bytes folds a length-prefixed byte slice into the digest.
-func (h *Hasher) Bytes(b []byte) {
-	h.Word(uint64(len(b)))
-	for _, c := range b {
-		h.Byte(c)
-	}
-}
-
 // Sum returns the digest of everything folded so far.
 func (h *Hasher) Sum() uint64 { return h.h }
 

@@ -143,20 +143,6 @@ func TestDegreeCentrality(t *testing.T) {
 	}
 }
 
-func TestClosenessPath(t *testing.T) {
-	// 0→1→2: harmonic closeness (incoming) of 2 is (1/2 + 1/1)/3 sources
-	// when exact over all sources.
-	g := graph.FromEdges(3, [][2]int{{0, 1}, {1, 2}})
-	rng := mathx.NewRNG(2)
-	c := Closeness(g, 10, rng)
-	if math.Abs(c[2]-(1.0/2+1.0)/3) > 1e-12 {
-		t.Fatalf("closeness = %v", c)
-	}
-	if c[0] != 0 {
-		t.Fatalf("unreachable node closeness should be 0, got %v", c[0])
-	}
-}
-
 // bruteBetweenness computes betweenness via the σ_sv·σ_vt/σ_st identity with
 // independent forward BFS path counting — an oracle structurally different
 // from Brandes' dependency accumulation.

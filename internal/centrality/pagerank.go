@@ -2,7 +2,7 @@
 // paper's Figure 5 analysis: PageRank (power iteration with dangling-mass
 // redistribution), Brandes betweenness centrality (exact and source-sampled,
 // parallelized over sources with ordered reduction so scores are
-// bit-identical at any worker count), HITS hubs/authorities and closeness.
+// bit-identical at any worker count) and HITS hubs/authorities.
 // All routines operate on the CSR digraphs of internal/graph and are
 // deterministic given their inputs, whatever the scheduling.
 package centrality
@@ -12,7 +12,6 @@ import (
 	"math"
 
 	"elites/internal/graph"
-	"elites/internal/mathx"
 )
 
 // ErrBadParam flags out-of-range algorithm parameters.
@@ -241,37 +240,4 @@ func DegreeCentrality(g *graph.Digraph) (in, out []float64) {
 		out[v] = float64(g.OutDegree(v)) * norm
 	}
 	return
-}
-
-// Closeness computes sampled harmonic closeness centrality: for k random
-// "landmark" sources, each node's score is the mean of 1/d(landmark→node)
-// over landmarks that reach it, rescaled to [0,1]. With k >= n it is exact
-// harmonic closeness on the reversed distances.
-func Closeness(g *graph.Digraph, k int, rng *mathx.RNG) []float64 {
-	n := g.NumNodes()
-	scores := make([]float64, n)
-	if n == 0 {
-		return scores
-	}
-	var sources []int
-	if k >= n {
-		sources = make([]int, n)
-		for i := range sources {
-			sources[i] = i
-		}
-	} else {
-		sources = rng.Perm(n)[:k]
-	}
-	for _, s := range sources {
-		dist := graph.BFS(g, s)
-		for v, d := range dist {
-			if d > 0 {
-				scores[v] += 1 / float64(d)
-			}
-		}
-	}
-	for i := range scores {
-		scores[i] /= float64(len(sources))
-	}
-	return scores
 }

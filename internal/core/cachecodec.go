@@ -3,6 +3,7 @@ package core
 import (
 	"elites/internal/cache"
 	"elites/internal/graph"
+	"elites/internal/pipeline"
 	"elites/internal/powerlaw"
 	"elites/internal/stats"
 )
@@ -30,6 +31,44 @@ const (
 	basicCodecVersion      = 1
 	mutualCoreCodecVersion = 1
 )
+
+// stageCache binds a run's result cache and the dataset's content digest;
+// a nil c means caching is off.
+type stageCache struct {
+	c       *cache.Cache
+	dataset uint64
+}
+
+// cached declares st as a cached stage whose whole output is *out: Encode
+// writes *out with enc, and Decode hydrates it with dec, assigning only a
+// payload that decoded completely. With the cache off it returns st as is.
+func cached[T any](sc stageCache, st pipeline.Stage, version int, optsDigest uint64,
+	out *T, enc func(*cache.Encoder, T), dec func(*cache.Decoder) (T, error)) pipeline.Stage {
+	if sc.c == nil {
+		return st
+	}
+	st.CacheKey = cache.Key{
+		Stage: st.Name, Version: version,
+		Dataset: sc.dataset, Options: optsDigest,
+	}.String()
+	st.Encode = func() ([]byte, error) {
+		var e cache.Encoder
+		enc(&e, *out)
+		return e.Bytes(), nil
+	}
+	st.Decode = func(data []byte) error {
+		d := cache.NewDecoder(data)
+		v, err := dec(d)
+		if err == nil {
+			err = d.Finish()
+		}
+		if err == nil {
+			*out = v
+		}
+		return err
+	}
+	return st
+}
 
 // --- distances ---------------------------------------------------------------
 
@@ -101,35 +140,42 @@ func decodePowerLawFrom(d *cache.Decoder) (*PowerLawAnalysis, error) {
 	return pa, nil
 }
 
-// encodeDegreeTo covers everything the degree stage writes: the Figure 2
-// frequency series and the §IV-B analysis.
-func encodeDegreeTo(e *cache.Encoder, series []stats.CCDFPoint, pa *PowerLawAnalysis) {
-	e.Uvarint(uint64(len(series)))
-	for _, p := range series {
+// degreeResult is everything the degree stage writes: the Figure 2
+// frequency series (Report.DegreeSeries) and the §IV-B analysis
+// (Report.Degree).
+type degreeResult struct {
+	series []stats.CCDFPoint
+	pa     *PowerLawAnalysis
+}
+
+func encodeDegreeTo(e *cache.Encoder, r degreeResult) {
+	e.Uvarint(uint64(len(r.series)))
+	for _, p := range r.series {
 		e.Float64(p.X)
 		e.Float64(p.P)
 	}
-	encodePowerLawTo(e, pa)
+	encodePowerLawTo(e, r.pa)
 }
 
-func decodeDegreeFrom(d *cache.Decoder) ([]stats.CCDFPoint, *PowerLawAnalysis, error) {
+func decodeDegreeFrom(d *cache.Decoder) (degreeResult, error) {
+	var r degreeResult
 	n := d.Uvarint()
 	if d.Err() != nil {
-		return nil, nil, d.Err()
+		return r, d.Err()
 	}
-	var series []stats.CCDFPoint
 	for i := uint64(0); i < n; i++ {
 		p := stats.CCDFPoint{X: d.Float64(), P: d.Float64()}
 		if d.Err() != nil {
-			return nil, nil, d.Err()
+			return r, d.Err()
 		}
-		series = append(series, p)
+		r.series = append(r.series, p)
 	}
 	pa, err := decodePowerLawFrom(d)
 	if err != nil {
-		return nil, nil, err
+		return r, err
 	}
-	return series, pa, nil
+	r.pa = pa
+	return r, nil
 }
 
 // --- centrality --------------------------------------------------------------

@@ -44,11 +44,17 @@ func AnalyzeCategories(ds *twitter.Dataset) (*CategoryAnalysis, error) {
 	if ds == nil || ds.Graph == nil || len(ds.Profiles) == 0 {
 		return nil, ErrNoData
 	}
-	g := ds.Graph
-	pr, err := centrality.PageRank(g, nil)
+	pr, err := centrality.PageRank(ds.Graph, nil)
 	if err != nil {
 		return nil, err
 	}
+	return analyzeCategories(ds, pr)
+}
+
+// analyzeCategories is AnalyzeCategories over a precomputed default-options
+// PageRank vector of ds.Graph.
+func analyzeCategories(ds *twitter.Dataset, pr []float64) (*CategoryAnalysis, error) {
+	g := ds.Graph
 	// Topic labels = categories.
 	nTopics := 0
 	topicOf := make([]int, len(ds.Profiles))
@@ -156,7 +162,13 @@ type MutualCoreAnalysis struct {
 
 // AnalyzeMutualCore validates the §IV-C conjecture on a graph.
 func AnalyzeMutualCore(g *graph.Digraph) *MutualCoreAnalysis {
-	cores := graph.KCores(g)
+	und := g.Undirected()
+	return analyzeMutualCore(g, und, graph.KCores(und))
+}
+
+// analyzeMutualCore is AnalyzeMutualCore over g's precomputed undirected
+// projection and its k-core decomposition.
+func analyzeMutualCore(g, und *graph.Digraph, cores *graph.KCoreResult) *MutualCoreAnalysis {
 	k := cores.MaxCore / 2
 	if k < 1 {
 		k = 1
@@ -174,7 +186,7 @@ func AnalyzeMutualCore(g *graph.Digraph) *MutualCoreAnalysis {
 		CoreNodes:            coreNodes,
 		CoreReciprocity:      coreR,
 		PeripheryReciprocity: perR,
-		RichClub:             graph.RichClub(g, 10),
+		RichClub:             graph.RichClub(und, 10),
 		MutualEdgeShare:      graph.Reciprocity(g),
 	}
 }

@@ -360,8 +360,8 @@ func (c *Characterizer) RunContext(ctx context.Context, ds *twitter.Dataset, act
 
 	// Result cache: content-address the dataset once, then give each
 	// expensive stage a key over exactly the options that shape its
-	// output. withCache is the identity when the cache is off, so the
-	// stage graph below reads the same either way.
+	// output. cached is the identity when the cache is off, so the stage
+	// graph below reads the same either way.
 	var rcache *cache.Cache
 	var dsDigest uint64
 	if c.opts.CacheDir != "" && !c.opts.NoCache {
@@ -373,33 +373,16 @@ func (c *Characterizer) RunContext(ctx context.Context, ds *twitter.Dataset, act
 			dsDigest = store.DatasetDigest(ds, activity)
 		}
 	}
-	withCache := func(st pipeline.Stage, version int, optsDigest uint64,
-		enc func(e *cache.Encoder), dec func(d *cache.Decoder) error) pipeline.Stage {
-		if rcache == nil {
-			return st
-		}
-		st.CacheKey = cache.Key{
-			Stage: st.Name, Version: version,
-			Dataset: dsDigest, Options: optsDigest,
-		}.String()
-		st.Encode = func() ([]byte, error) {
-			var e cache.Encoder
-			enc(&e)
-			return e.Bytes(), nil
-		}
-		st.Decode = func(data []byte) error {
-			d := cache.NewDecoder(data)
-			if err := dec(d); err != nil {
-				return err
-			}
-			return d.Finish()
-		}
-		return st
-	}
+	sc := stageCache{c: rcache, dataset: dsDigest}
 
-	// Shared intermediate: the component decompositions feed the summary.
+	// Shared intermediates: the component decompositions feed the summary
+	// and basic; the lazy artifacts feed every stage that reads them.
 	var scc *graph.SCCResult
 	var wcc *graph.WCCResult
+	art := newArtifacts(g)
+	// The degree stage's two report fields travel as one cache payload and
+	// are copied into the report when the run returns.
+	var degree degreeResult
 
 	stages := []pipeline.Stage{
 		{Name: StageComponents, Run: func() error {
@@ -411,75 +394,39 @@ func (c *Characterizer) RunContext(ctx context.Context, ds *twitter.Dataset, act
 			c.summarize(rep, ds, scc, wcc)
 			return nil
 		}},
-		withCache(pipeline.Stage{Name: StageBasic, Deps: []string{StageComponents}, Run: func() error {
-			c.basic(rep, g, scc)
+		// No option shapes basic's output (and Seed deliberately stays out
+		// of the digest), so one entry serves every run over the dataset.
+		cached(sc, pipeline.Stage{Name: StageBasic, Deps: []string{StageComponents}, Run: func() error {
+			rep.Basic = basicAnalysis(g, scc, art.clustering())
 			return nil
-		}}, basicCodecVersion,
-			// No option shapes this stage's output (and Seed deliberately
-			// stays out of the digest), so one entry serves every run over
-			// the same dataset.
-			cache.HashWords(),
-			func(e *cache.Encoder) { encodeBasicTo(e, rep.Basic) },
-			func(d *cache.Decoder) error {
-				b, err := decodeBasicFrom(d)
-				if err != nil {
-					return err
-				}
-				rep.Basic = b
-				return nil
-			}),
-		withCache(pipeline.Stage{Name: StageDegree, Run: func() error {
-			c.degreeAnalysis(rep, g, base.Derive(StageDegree))
+		}}, basicCodecVersion, cache.HashWords(), &rep.Basic, encodeBasicTo, decodeBasicFrom),
+		cached(sc, pipeline.Stage{Name: StageDegree, Run: func() error {
+			degree = c.degreeAnalysis(g, art, base.Derive(StageDegree))
 			return nil
 		}}, degreeCodecVersion,
 			cache.HashWords(c.opts.Seed, uint64(c.opts.BootstrapReps), boolWord(c.opts.SkipBootstrap)),
-			func(e *cache.Encoder) { encodeDegreeTo(e, rep.DegreeSeries, rep.Degree) },
-			func(d *cache.Decoder) error {
-				series, pa, err := decodeDegreeFrom(d)
-				if err != nil {
-					return err
-				}
-				rep.DegreeSeries, rep.Degree = series, pa
-				return nil
-			}),
+			&degree, encodeDegreeTo, decodeDegreeFrom),
 	}
 	if !c.opts.SkipEigen {
-		stages = append(stages, withCache(pipeline.Stage{Name: StageEigen, Run: func() error {
-			c.eigenAnalysis(rep, g, base.Derive(StageEigen))
+		stages = append(stages, cached(sc, pipeline.Stage{Name: StageEigen, Run: func() error {
+			rep.Eigen = c.eigenAnalysis(art.und(), base.Derive(StageEigen))
 			return nil
 		}}, eigenCodecVersion,
 			cache.HashWords(c.opts.Seed, uint64(c.opts.EigenK), uint64(c.opts.EigenIters),
 				uint64(c.opts.BootstrapReps), boolWord(c.opts.SkipBootstrap)),
-			func(e *cache.Encoder) { encodePowerLawTo(e, rep.Eigen) },
-			func(d *cache.Decoder) error {
-				pa, err := decodePowerLawFrom(d)
-				if err != nil {
-					return err
-				}
-				rep.Eigen = pa
-				return nil
-			}))
+			&rep.Eigen, encodePowerLawTo, decodePowerLawFrom))
 	}
 	stages = append(stages,
 		pipeline.Stage{Name: StageReciprocity, Run: func() error {
 			rep.Reciprocity = graph.Reciprocity(g)
 			return nil
 		}},
-		withCache(pipeline.Stage{Name: StageDistances, Run: func() error {
+		cached(sc, pipeline.Stage{Name: StageDistances, Run: func() error {
 			rep.Distances = graph.SampledDistancesWorkers(g, c.opts.DistanceSources,
 				base.Derive(StageDistances), c.opts.Parallelism)
 			return nil
-		}}, distancesCodecVersion,
-			cache.HashWords(c.opts.Seed, uint64(c.opts.DistanceSources)),
-			func(e *cache.Encoder) { encodeDistancesTo(e, rep.Distances) },
-			func(d *cache.Decoder) error {
-				dd, err := decodeDistancesFrom(d)
-				if err != nil {
-					return err
-				}
-				rep.Distances = dd
-				return nil
-			}),
+		}}, distancesCodecVersion, cache.HashWords(c.opts.Seed, uint64(c.opts.DistanceSources)),
+			&rep.Distances, encodeDistancesTo, decodeDistancesFrom),
 	)
 	if len(ds.Profiles) > 0 {
 		stages = append(stages,
@@ -491,45 +438,31 @@ func (c *Characterizer) RunContext(ctx context.Context, ds *twitter.Dataset, act
 				c.metricHistograms(rep, ds)
 				return nil
 			}},
-			withCache(pipeline.Stage{Name: StageCentrality, Run: func() error {
-				c.centralityAnalysis(rep, ds, base.Derive(StageCentrality))
+			cached(sc, pipeline.Stage{Name: StageCentrality, Run: func() error {
+				rep.Centrality = c.centralityAnalysis(ds, art, base.Derive(StageCentrality))
 				return nil
 			}}, centralityCodecVersion,
 				cache.HashWords(c.opts.Seed, uint64(c.opts.BetweennessSources), boolWord(c.opts.SkipBetweenness)),
-				func(e *cache.Encoder) { encodeCentralityTo(e, rep.Centrality) },
-				func(d *cache.Decoder) error {
-					pairs, err := decodeCentralityFrom(d)
-					if err != nil {
-						return err
-					}
-					rep.Centrality = pairs
-					return nil
-				}),
+				&rep.Centrality, encodeCentralityTo, decodeCentralityFrom),
 		)
 		if !c.opts.SkipCategories {
 			stages = append(stages, pipeline.Stage{Name: StageCategories, Run: func() error {
-				if ca, err := AnalyzeCategories(ds); err == nil {
-					rep.Categories = ca
+				if pr, err := art.pagerank(); err == nil {
+					if ca, err := analyzeCategories(ds, pr); err == nil {
+						rep.Categories = ca
+					}
 				}
 				return nil
 			}})
 		}
 	}
 	if !c.opts.SkipCategories {
-		stages = append(stages, withCache(pipeline.Stage{Name: StageMutualCore, Run: func() error {
-			rep.MutualCore = AnalyzeMutualCore(g)
+		stages = append(stages, cached(sc, pipeline.Stage{Name: StageMutualCore, Run: func() error {
+			rep.MutualCore = analyzeMutualCore(g, art.und(), art.cores())
 			return nil
 		}}, mutualCoreCodecVersion,
 			cache.HashWords(), // deterministic over the graph; no options
-			func(e *cache.Encoder) { encodeMutualCoreTo(e, rep.MutualCore) },
-			func(d *cache.Decoder) error {
-				m, err := decodeMutualCoreFrom(d)
-				if err != nil {
-					return err
-				}
-				rep.MutualCore = m
-				return nil
-			}))
+			&rep.MutualCore, encodeMutualCoreTo, decodeMutualCoreFrom))
 	}
 	if activity != nil {
 		stages = append(stages, pipeline.Stage{Name: StageActivity, Run: func() error {
@@ -550,28 +483,24 @@ func (c *Characterizer) RunContext(ctx context.Context, ds *twitter.Dataset, act
 		// the scheduler treats the whole stage as a miss and recomputes —
 		// the matrix is never partially hydrated.
 		fstore := features.Store{Cache: rcache, Dataset: dsDigest, Options: fdigest}
-		stages = append(stages, withCache(pipeline.Stage{Name: StageFeatures, Run: func() error {
-			m, err := features.Compute(ds, fopts)
+		stages = append(stages, cached(sc, pipeline.Stage{Name: StageFeatures, Run: func() error {
+			m, err := features.ComputeFrom(ds, fopts, art.featureInputs())
 			if err != nil {
 				return err
 			}
 			rep.Features = m
 			return nil
-		}}, features.ManifestCodecVersion, fdigest,
-			func(e *cache.Encoder) {
-				features.EncodeManifest(e, rep.Features)
-				fstore.Put(rep.Features)
+		}}, features.ManifestCodecVersion, fdigest, &rep.Features,
+			func(e *cache.Encoder, m *features.Matrix) {
+				features.EncodeManifest(e, m)
+				fstore.Put(m)
 			},
-			func(d *cache.Decoder) error {
+			func(d *cache.Decoder) (*features.Matrix, error) {
 				m, err := features.DecodeManifest(d, g.NumNodes())
 				if err != nil {
-					return err
+					return nil, err
 				}
-				if err := fstore.Load(m); err != nil {
-					return err
-				}
-				rep.Features = m
-				return nil
+				return m, fstore.Load(m)
 			}))
 	}
 
@@ -651,6 +580,7 @@ func (c *Characterizer) RunContext(ctx context.Context, ds *twitter.Dataset, act
 		}
 	}
 	timings, runErr := pipeline.RunContext(runCtx, stages, popts)
+	rep.DegreeSeries, rep.Degree = degree.series, degree.pa
 	if runSpan != nil {
 		if runErr != nil && errors.Is(runErr, pipeline.ErrCanceled) {
 			runSpan.AddEvent("canceled")
@@ -769,13 +699,13 @@ func (c *Characterizer) summarize(rep *Report, ds *twitter.Dataset, scc *graph.S
 	}
 }
 
-// basic fills the §IV-A analysis. It is the only stage that writes
-// rep.Basic, so no other stage can clobber it however the graph schedules.
-func (c *Characterizer) basic(rep *Report, g *graph.Digraph, scc *graph.SCCResult) {
+// basicAnalysis computes the §IV-A analysis from the run's shared
+// component decomposition and clustering vector.
+func basicAnalysis(g *graph.Digraph, scc *graph.SCCResult, clustering []float64) BasicAnalysis {
 	ac := graph.AttractingComponents(g, scc)
 	in := g.InDegrees()
 	basic := BasicAnalysis{
-		Clustering:           graph.AverageLocalClustering(g),
+		Clustering:           graph.MeanClustering(clustering),
 		Assortativity:        graph.DegreeAssortativityWithIn(g, in),
 		AttractingComponents: len(ac),
 	}
@@ -795,33 +725,35 @@ func (c *Characterizer) basic(rep *Report, g *graph.Digraph, scc *graph.SCCResul
 	for i := 0; i < len(cores) && i < 10; i++ {
 		basic.AttractingCores = append(basic.AttractingCores, cores[i].node)
 	}
-	rep.Basic = basic
+	return basic
 }
 
-func (c *Characterizer) degreeAnalysis(rep *Report, g *graph.Digraph, rng *mathx.RNG) {
-	outDeg := g.OutDegrees()
-	rep.DegreeSeries = stats.DegreeFrequency(outDeg)
-	fit, err := powerlaw.FitDiscrete(outDeg, nil)
+func (c *Characterizer) degreeAnalysis(g *graph.Digraph, art *artifacts, rng *mathx.RNG) degreeResult {
+	res := degreeResult{series: stats.DegreeFrequency(g.OutDegrees())}
+	fit, err := art.outDegFit()
 	if err != nil {
-		return
+		return res
 	}
 	pa := &PowerLawAnalysis{Fit: fit, GoFP: nan()}
 	if !c.opts.SkipBootstrap {
 		pa.GoFP = fit.GoodnessOfFitWorkers(c.opts.BootstrapReps, rng, c.opts.Parallelism)
 	}
 	pa.Vuong = fit.CompareAll()
-	rep.Degree = pa
+	res.pa = pa
+	return res
 }
 
-func (c *Characterizer) eigenAnalysis(rep *Report, g *graph.Digraph, rng *mathx.RNG) {
-	op := spectral.NewLaplacianOperator(g)
+// eigenAnalysis fits the top Laplacian eigenvalues of the undirected
+// projection und.
+func (c *Characterizer) eigenAnalysis(und *graph.Digraph, rng *mathx.RNG) *PowerLawAnalysis {
+	op := spectral.NewLaplacianOperator(und)
 	evs, err := spectral.TopEigenvaluesLanczos(op, c.opts.EigenK, c.opts.EigenIters, rng)
 	if err != nil || len(evs) == 0 {
-		return
+		return nil
 	}
 	fit, err := powerlaw.FitContinuous(evs, nil)
 	if err != nil {
-		return
+		return nil
 	}
 	pa := &PowerLawAnalysis{Fit: fit, GoFP: nan()}
 	if !c.opts.SkipBootstrap {
@@ -830,7 +762,7 @@ func (c *Characterizer) eigenAnalysis(rep *Report, g *graph.Digraph, rng *mathx.
 	// Poisson does not apply to continuous eigenvalues; CompareAll
 	// handles that by skipping it.
 	pa.Vuong = fit.CompareAll()
-	rep.Eigen = pa
+	return pa
 }
 
 func (c *Characterizer) bioAnalysis(rep *Report, ds *twitter.Dataset) {
@@ -864,18 +796,17 @@ func (c *Characterizer) metricHistograms(rep *Report, ds *twitter.Dataset) {
 }
 
 // centralityAnalysis builds the six Figure 5 panels.
-func (c *Characterizer) centralityAnalysis(rep *Report, ds *twitter.Dataset, rng *mathx.RNG) {
-	g := ds.Graph
-	pr, err := centrality.PageRank(g, nil)
+func (c *Characterizer) centralityAnalysis(ds *twitter.Dataset, art *artifacts, rng *mathx.RNG) []CentralityPair {
+	pr, err := art.pagerank()
 	if err != nil {
-		return
+		return nil
 	}
 	followers := ds.MetricValues(twitter.MetricFollowers)
 	listed := ds.MetricValues(twitter.MetricListed)
 	statuses := ds.MetricValues(twitter.MetricStatuses)
 	var bc []float64
 	if !c.opts.SkipBetweenness {
-		bc = centrality.ApproxBetweennessWorkers(g, c.opts.BetweennessSources, rng, c.opts.Parallelism)
+		bc = centrality.ApproxBetweennessWorkers(ds.Graph, c.opts.BetweennessSources, rng, c.opts.Parallelism)
 	}
 	panels := []struct {
 		label string
@@ -888,15 +819,16 @@ func (c *Characterizer) centralityAnalysis(rep *Report, ds *twitter.Dataset, rng
 		{"follower count vs status count", statuses, followers},
 		{"follower count vs list memberships", listed, followers},
 	}
+	var pairs []CentralityPair
 	for _, p := range panels {
 		if p.x == nil {
 			continue
 		}
-		pair := buildCentralityPair(p.label, p.x, p.y)
-		if pair != nil {
-			rep.Centrality = append(rep.Centrality, *pair)
+		if pair := buildCentralityPair(p.label, p.x, p.y); pair != nil {
+			pairs = append(pairs, *pair)
 		}
 	}
+	return pairs
 }
 
 // buildCentralityPair computes log-log correlations and the GAM spline for

@@ -1,14 +1,19 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"elites/internal/cache"
 	"elites/internal/features"
+	"elites/internal/pipeline"
 )
 
 // featuresOptions enables the opt-in feature stage next to the cheap
@@ -67,6 +72,71 @@ func TestFeatureStageColdWarmBitIdentical(t *testing.T) {
 		t.Fatalf("warm traffic: %+v", warm.Cache)
 	}
 	matricesBitIdentical(t, cold.Features, warm.Features, "warm hydration")
+}
+
+// TestFeatureStageSharedArtifacts runs the full battery with the feature
+// stage, which reads the run's shared artifacts (k-cores, PageRank, the
+// clustering vector, the out-degree fit) instead of computing its own: the
+// matrix must stay bit-identical to a standalone features.Compute and the
+// rendered report byte-identical to the battery without features, at every
+// worker budget.
+func TestFeatureStageSharedArtifacts(t *testing.T) {
+	p, ds := testPlatform(t)
+	activity := p.ActivitySeries(p.EnglishNodes())
+	plain, err := NewCharacterizer(fastOptions()).Run(ds, activity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRender := renderString(t, plain)
+	for _, par := range []int{1, 4} {
+		opts := fastOptions()
+		opts.Features = true
+		opts.Parallelism = par
+		c := NewCharacterizer(opts)
+		rep, err := c.Run(ds, activity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := features.Compute(ds, features.Options{
+			BetweennessSources: c.opts.BetweennessSources,
+			Seed:               c.opts.Seed,
+			Parallelism:        par,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := "parallelism=" + strconv.Itoa(par)
+		matricesBitIdentical(t, want, rep.Features, label)
+		if got := renderString(t, rep); got != wantRender {
+			t.Fatalf("%s: report with features renders differently from the battery without", label)
+		}
+	}
+}
+
+// TestArtifactPanicFailsEveryConsumer pins the containment the shared
+// artifacts rely on: a panicking artifact is computed once, yet fails every
+// stage that reads it, each through the pipeline's own panic recovery.
+func TestArtifactPanicFailsEveryConsumer(t *testing.T) {
+	var calls atomic.Int32
+	art := sync.OnceValue(func() []float64 {
+		calls.Add(1)
+		panic("artifact failed")
+	})
+	consume := func() error { _ = art(); return nil }
+	stages := []pipeline.Stage{{Name: "a", Run: consume}, {Name: "b", Run: consume}}
+	timings, err := pipeline.Run(stages, pipeline.Options{Parallelism: 2})
+	if err == nil {
+		t.Fatal("consumers of a panicking artifact succeeded")
+	}
+	for _, tm := range timings {
+		var pe *pipeline.StagePanicError
+		if !errors.As(tm.Err, &pe) {
+			t.Fatalf("stage %s: want a contained panic, got %v", tm.Name, tm.Err)
+		}
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("artifact computed %d times, want once", n)
+	}
 }
 
 func TestFeatureStageCorruptShardRecomputes(t *testing.T) {

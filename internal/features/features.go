@@ -7,15 +7,19 @@
 // power-law tail membership — plus a deterministic logistic scorer that
 // classifies accounts as elite-, bot- or regular-shaped.
 //
-// The matrix is computed once per dataset (Compute), sharded row-major into
+// The matrix is computed once per dataset, sharded row-major into
 // fixed-width fragments (ShardRows) that are filled via the shared worker
 // pool and stored through internal/cache under a dedicated codec version
 // (codec.go), so serving layers answer per-user feature requests from
-// precomputed shards without touching the pipeline. The determinism
-// contract of the rest of the repo holds here too: the matrix is
-// bit-identical at every worker budget (fixed shard layout, per-stage
-// derived RNG streams for the sampled betweenness, a serial percentile
-// pass) and so is the trained scorer.
+// precomputed shards without touching the pipeline. The graph-wide inputs
+// (k-cores, PageRank, the clustering vector, the out-degree power-law fit)
+// arrive as Inputs: the core pipeline hands over the ones its other stages
+// already computed (ComputeFrom), and a standalone Compute fills them
+// itself with the same kernels; only the sampled betweenness is always the
+// matrix's own. The determinism contract of the rest of the repo holds
+// here too: the matrix is bit-identical at every worker budget (fixed shard
+// layout, per-stage derived RNG streams for the sampled betweenness, a
+// serial percentile pass) and so is the trained scorer.
 package features
 
 import (
@@ -187,24 +191,64 @@ func RankByOutDegree(g *graph.Digraph) []int32 {
 	return byRank
 }
 
+// Inputs are the graph-wide quantities the row fill reads besides the
+// sampled betweenness. A pipeline run computes each once and shares it with
+// the battery's other stages (internal/core); Compute computes them itself.
+// The matrix only reads them.
+type Inputs struct {
+	// Cores is the k-core decomposition of the undirected projection.
+	Cores *graph.KCoreResult
+	// PageRank is the default-options PageRank vector; nil when it failed,
+	// which puts every FeatEigenPct at the all-ties mid rank.
+	PageRank []float64
+	// Clustering is graph.ClusteringCoefficients of the graph.
+	Clustering []float64
+	// OutDegFit is the discrete power-law fit of the out-degrees; nil when
+	// no tail fits.
+	OutDegFit *powerlaw.Fit
+}
+
+// newInputs computes Inputs for g with the kernels a pipeline run shares,
+// projecting the graph once; parallelism bounds the clustering pass.
+func newInputs(g *graph.Digraph, parallelism int) Inputs {
+	und := g.Undirected()
+	in := Inputs{
+		Cores:      graph.KCores(und),
+		Clustering: graph.ClusteringCoefficients(und, parallelism),
+	}
+	if pr, err := centrality.PageRank(g, nil); err == nil {
+		in.PageRank = pr
+	}
+	if fit, err := powerlaw.FitDiscrete(g.OutDegrees(), nil); err == nil {
+		in.OutDegFit = fit
+	}
+	return in
+}
+
 // Compute builds the feature matrix for a dataset and scores every row with
 // the default scorer. The result is bit-identical at every
 // Options.Parallelism: the global vectors (betweenness, PageRank, cores,
-// percentiles, the power-law fit) are computed with the repo's
+// clustering, percentiles, the power-law fit) are computed with the repo's
 // deterministic kernels, and the row fill shards into fixed ShardRows-wide
 // chunks whose layout is independent of the worker count.
 func Compute(ds *twitter.Dataset, opts Options) (*Matrix, error) {
+	return ComputeFrom(ds, opts, newInputs(ds.Graph, opts.Parallelism))
+}
+
+// ComputeFrom is Compute over precomputed Inputs, which must describe
+// ds.Graph; it is bit-identical to Compute when they do.
+func ComputeFrom(ds *twitter.Dataset, opts Options, in Inputs) (*Matrix, error) {
 	sc, err := DefaultScorer()
 	if err != nil {
 		return nil, err
 	}
-	return computeWith(ds, opts, sc), nil
+	return computeWith(ds, opts, sc, in), nil
 }
 
-// computeWith is Compute with an explicit scorer; a nil scorer leaves
+// computeWith is ComputeFrom with an explicit scorer; a nil scorer leaves
 // Probs/Class zero (the scorer's own training path uses this to avoid
 // bootstrapping on itself).
-func computeWith(ds *twitter.Dataset, opts Options, sc *Scorer) *Matrix {
+func computeWith(ds *twitter.Dataset, opts Options, sc *Scorer, in Inputs) *Matrix {
 	o := opts.withDefaults()
 	g := ds.Graph
 	n := g.NumNodes()
@@ -221,33 +265,32 @@ func computeWith(ds *twitter.Dataset, opts Options, sc *Scorer) *Matrix {
 		return m
 	}
 
-	// Global vectors first; every one of these kernels is deterministic at
-	// any worker budget, so the per-row fill below only reads fixed inputs.
+	// Every global vector comes from a deterministic kernel, so the
+	// per-row fill below only reads fixed inputs.
 	outDeg := g.OutDegrees()
 	inDeg := g.InDegrees()
-	cores := graph.KCores(g)
+	cores := in.Cores
 	m.Degeneracy = cores.MaxCore
 	m.CoreK = cores.MaxCore / 2
 	if m.CoreK < 1 {
 		m.CoreK = 1 // AnalyzeMutualCore's clamp, kept in lockstep
 	}
-	und := g.Undirected()
 
 	// The betweenness sample draws from its own derived stream, so the
 	// matrix commutes with every other consumer of the seed (Derive never
 	// advances the base generator).
 	rng := mathx.NewRNG(o.Seed).Derive("features/betweenness")
 	bc := centrality.ApproxBetweennessWorkers(g, o.BetweennessSources, rng, o.Parallelism)
-	pr, err := centrality.PageRank(g, nil)
-	if err != nil || pr == nil {
+	pr := in.PageRank
+	if pr == nil {
 		pr = make([]float64, n)
 	}
 	bPct := percentiles(bc)
 	ePct := percentiles(pr)
 
 	xmin := math.NaN()
-	if fit, ferr := powerlaw.FitDiscrete(outDeg, nil); ferr == nil {
-		xmin = fit.Xmin
+	if in.OutDegFit != nil {
+		xmin = in.OutDegFit.Xmin
 		m.TailXmin = xmin
 	}
 	profiles := ds.Profiles
@@ -281,7 +324,7 @@ func computeWith(ds *twitter.Dataset, opts Options, sc *Scorer) *Matrix {
 			}
 			row[FeatBetweennessPct] = bPct[u]
 			row[FeatEigenPct] = ePct[u]
-			row[FeatClustering] = graph.LocalClusteringUndirected(und, u)
+			row[FeatClustering] = in.Clustering[u]
 			if !math.IsNaN(xmin) && float64(outDeg[u]) >= xmin {
 				row[FeatTail] = 1
 				t.tail++

@@ -103,8 +103,7 @@ func referenceMatrix(ds *twitter.Dataset, opts Options, sc *Scorer) *Matrix {
 		}
 		row[FeatBetweennessPct] = pct(bc, u)
 		row[FeatEigenPct] = pct(pr, u)
-		// LocalClustering re-projects the graph on every call.
-		row[FeatClustering] = graph.LocalClustering(g, u)
+		row[FeatClustering] = referenceClustering(g, u)
 		if !math.IsNaN(xmin) && float64(outD) >= xmin {
 			row[FeatTail] = 1
 			m.TailCount++
@@ -116,6 +115,33 @@ func referenceMatrix(ds *twitter.Dataset, opts Options, sc *Scorer) *Matrix {
 		}
 	}
 	return m
+}
+
+// referenceClustering is u's ego clustering coefficient in the undirected
+// projection, by brute force: neighbors are every v linked to u in either
+// direction, and each neighbor pair linked in either direction is one
+// closed wedge.
+func referenceClustering(g *graph.Digraph, u int) float64 {
+	linked := func(a, b int) bool { return g.HasEdge(a, b) || g.HasEdge(b, a) }
+	var nbrs []int
+	for v := 0; v < g.NumNodes(); v++ {
+		if v != u && linked(u, v) {
+			nbrs = append(nbrs, v)
+		}
+	}
+	d := len(nbrs)
+	if d < 2 {
+		return 0
+	}
+	links := 0
+	for i := 0; i < d; i++ {
+		for j := i + 1; j < d; j++ {
+			if linked(nbrs[i], nbrs[j]) {
+				links++
+			}
+		}
+	}
+	return 2 * float64(links) / (float64(d) * float64(d-1))
 }
 
 // fixtureGraphs builds the adversarial fixture set.
@@ -225,7 +251,7 @@ func TestFeatureMatrixReferenceFixtures(t *testing.T) {
 		for _, workers := range referenceWorkerBudgets {
 			o := opts
 			o.Parallelism = workers
-			got := computeWith(ds, o, sc)
+			got := computeWith(ds, o, sc, newInputs(ds.Graph, workers))
 			requireMatrixEqual(t, ref, got, name+"/workers="+itoa(workers))
 		}
 	}
@@ -245,7 +271,7 @@ func TestFeatureMatrixReferenceCanonical(t *testing.T) {
 	for _, workers := range referenceWorkerBudgets {
 		o := opts
 		o.Parallelism = workers
-		got := computeWith(ds, o, sc)
+		got := computeWith(ds, o, sc, newInputs(ds.Graph, workers))
 		requireMatrixEqual(t, ref, got, "canonical/workers="+itoa(workers))
 	}
 }

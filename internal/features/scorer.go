@@ -186,7 +186,7 @@ func Train(workers int) (*Scorer, error) {
 			Seed:               seed,
 			BetweennessSources: trainBetwSrcs,
 			Parallelism:        workers,
-		}, nil)
+		}, nil, newInputs(ds.Graph, workers))
 		for u := 0; u < m.N; u++ {
 			var s sample
 			transform(m.Row(u), s.z[:])

@@ -57,7 +57,7 @@ func TestScorerHoldoutAUC(t *testing.T) {
 	if terr != nil {
 		t.Fatalf("training graph: %v", terr)
 	}
-	m := computeWith(ds, Options{BetweennessSources: trainBetwSrcs, Seed: holdoutSeed}, nil)
+	m := computeWith(ds, Options{BetweennessSources: trainBetwSrcs, Seed: holdoutSeed}, nil, newInputs(ds.Graph, 0))
 
 	probs := make([]float64, NumClasses)
 	scores := make([][NumClasses]float64, m.N)

@@ -28,7 +28,11 @@ type Digraph struct {
 	offsets []int64 // len n+1; out-neighbors of u are adj[offsets[u]:offsets[u+1]]
 	adj     []int32 // sorted within each row
 
-	// Transpose CSR (in-neighbors), built lazily by InCSR/InNeighbors and
+	// projection marks a graph built by Undirected, whose own undirected
+	// projection is itself.
+	projection bool
+
+	// Transpose CSR (in-neighbors), built lazily by InCSR/Reverse and
 	// cached for the graph's lifetime. Direction-optimizing traversals
 	// (bottom-up BFS in the betweenness kernel and the distance sweeps)
 	// read it; everything else never pays for it.
@@ -113,14 +117,6 @@ func (g *Digraph) InCSR() ([]int64, []int32) {
 	return g.inOff, g.inAdj
 }
 
-// InNeighbors returns the sorted in-neighbor slice of v, building the cached
-// transpose on first use. The returned slice aliases internal storage and
-// must not be modified.
-func (g *Digraph) InNeighbors(v int) []int32 {
-	g.inOnce.Do(g.buildIn)
-	return g.inAdj[g.inOff[v]:g.inOff[v+1]]
-}
-
 // Reverse returns the transpose graph (every edge u→v becomes v→u). The
 // returned graph shares the cached transpose arrays (both graphs are
 // immutable), so calling Reverse after InCSR — or vice versa — transposes
@@ -168,8 +164,14 @@ func (g *Digraph) InducedSubgraph(keep []int) (*Digraph, []int, error) {
 
 // Undirected returns the underlying undirected graph as a symmetric digraph:
 // each pair {u,v} connected in either direction appears as both u→v and v→u
-// exactly once. Self-loops are never present (Builder drops them).
+// exactly once. Self-loops are never present (Builder drops them). Called on
+// a graph Undirected itself built, it returns the receiver, so the analyses
+// that project internally (KCores, RichClub, AverageLocalClustering, the
+// Laplacian operator) accept an already-shared projection at no cost.
 func (g *Digraph) Undirected() *Digraph {
+	if g.projection {
+		return g
+	}
 	b := NewBuilder(g.n)
 	for u := 0; u < g.n; u++ {
 		for _, v := range g.OutNeighbors(u) {
@@ -177,7 +179,9 @@ func (g *Digraph) Undirected() *Digraph {
 			b.AddEdge(int(v), u)
 		}
 	}
-	return b.Build()
+	und := b.Build()
+	und.projection = true
+	return und
 }
 
 // Edges calls fn for every directed edge. Iteration stops if fn returns
@@ -222,17 +226,6 @@ func (b *Builder) AddEdge(u, v int) {
 		return
 	}
 	b.rows[u] = append(b.rows[u], int32(v))
-}
-
-// HasEdgeSlow reports whether u→v has been added, by linear scan. Intended
-// for generator-side duplicate avoidance on short rows; Build dedups anyway.
-func (b *Builder) HasEdgeSlow(u, v int) bool {
-	for _, w := range b.rows[u] {
-		if w == int32(v) {
-			return true
-		}
-	}
-	return false
 }
 
 // OutDegree returns the current (pre-dedup) out-degree of u.

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -170,6 +172,40 @@ func TestUndirected(t *testing.T) {
 	}
 	if !u.HasEdge(2, 1) || !u.HasEdge(0, 1) {
 		t.Fatal("undirected symmetry broken")
+	}
+}
+
+func TestUndirectedOfProjectionIsReceiver(t *testing.T) {
+	// Wider than one metricChunk, so the clustering mean folds several
+	// chunk partials.
+	g := randomDigraph(mathx.NewRNG(11), 2500, 0.004)
+	und := g.Undirected()
+	if und.Undirected() != und {
+		t.Fatal("Undirected of a projection must return its receiver")
+	}
+	if g.Undirected() == und || g.Undirected() == g {
+		t.Fatal("Undirected of a directed graph must build a fresh projection")
+	}
+	// The analyses that project internally give identical results whether
+	// handed the directed graph or its shared projection.
+	if !reflect.DeepEqual(KCores(g), KCores(und)) {
+		t.Fatal("KCores differs on the projection")
+	}
+	if !reflect.DeepEqual(RichClub(g, 10), RichClub(und, 10)) {
+		t.Fatal("RichClub differs on the projection")
+	}
+	want := AverageLocalClustering(g)
+	if got := AverageLocalClustering(und); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("AverageLocalClustering on the projection = %v, want %v", got, want)
+	}
+	cc := ClusteringCoefficients(g, 1)
+	for _, workers := range []int{2, 4} {
+		if !reflect.DeepEqual(ClusteringCoefficients(und, workers), cc) {
+			t.Fatalf("ClusteringCoefficients differs on the projection at %d workers", workers)
+		}
+	}
+	if got := MeanClustering(cc); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("MeanClustering = %v, want AverageLocalClustering's %v", got, want)
 	}
 }
 

@@ -3,6 +3,8 @@ package graph
 import (
 	"math"
 	"sort"
+
+	"elites/internal/parallel"
 )
 
 // Reciprocity returns the fraction of directed edges whose reverse edge also
@@ -41,39 +43,41 @@ func Reciprocity(g *Digraph) float64 {
 // Nodes with degree < 2 contribute 0, matching the networkx "average over
 // all nodes" convention.
 func AverageLocalClustering(g *Digraph) float64 {
+	return MeanClustering(ClusteringCoefficients(g, 0))
+}
+
+// ClusteringCoefficients returns every node's local clustering coefficient
+// in the undirected projection of g, sharded in fixed metricChunk-wide
+// chunks over at most workers goroutines (<= 0 means GOMAXPROCS). Each entry
+// depends only on the graph, so the vector is identical at every budget.
+func ClusteringCoefficients(g *Digraph, workers int) []float64 {
 	und := g.Undirected()
-	n := und.NumNodes()
-	if n == 0 {
+	cc := make([]float64, und.NumNodes())
+	parallel.ChunkReduce(len(cc), metricChunk, workers, func(lo, hi int) struct{} {
+		for u := lo; u < hi; u++ {
+			cc[u] = localClustering(und, u)
+		}
+		return struct{}{}
+	})
+	return cc
+}
+
+// MeanClustering averages a ClusteringCoefficients vector. Partial sums are
+// taken per metricChunk chunk and folded in chunk order, so the mean is the
+// same float whoever computed the vector and at whatever worker budget.
+func MeanClustering(cc []float64) float64 {
+	if len(cc) == 0 {
 		return 0
 	}
-	// Per-chunk partial sums are combined in chunk order, so the result is
-	// bit-stable regardless of worker count.
-	parts := chunkReduce(n, func(lo, hi int) float64 {
-		s := 0.0
-		for u := lo; u < hi; u++ {
-			s += localClustering(und, u)
-		}
-		return s
-	})
 	total := 0.0
-	for _, p := range parts {
-		total += p
+	for lo := 0; lo < len(cc); lo += metricChunk {
+		s := 0.0
+		for _, c := range cc[lo:min(lo+metricChunk, len(cc))] {
+			s += c
+		}
+		total += s
 	}
-	return total / float64(n)
-}
-
-// LocalClustering returns the local clustering coefficient of node u in the
-// undirected projection of g.
-func LocalClustering(g *Digraph, u int) float64 {
-	return localClustering(g.Undirected(), u)
-}
-
-// LocalClusteringUndirected is LocalClustering on a graph that is already
-// symmetric (as returned by Undirected): callers that need many per-node
-// coefficients project once and amortize the O(m) projection instead of
-// paying it on every call.
-func LocalClusteringUndirected(und *Digraph, u int) float64 {
-	return localClustering(und, u)
+	return total / float64(len(cc))
 }
 
 // localClustering computes triangles/(d·(d-1)/2) on an already-symmetric
@@ -157,37 +161,6 @@ func DegreeAssortativityWithIn(g *Digraph, in []int) float64 {
 	cov := sxy/fm - (sx/fm)*(sy/fm)
 	vx := sxx/fm - (sx/fm)*(sx/fm)
 	vy := syy/fm - (sy/fm)*(sy/fm)
-	if vx <= 0 || vy <= 0 {
-		return 0
-	}
-	return cov / math.Sqrt(vx*vy)
-}
-
-// UndirectedDegreeAssortativity returns the classic Newman degree
-// assortativity of the undirected projection: the Pearson correlation of the
-// degrees at the two ends of each undirected edge.
-func UndirectedDegreeAssortativity(g *Digraph) float64 {
-	und := g.Undirected()
-	var sx, sy, sxx, syy, sxy float64
-	var cnt float64
-	for u := 0; u < und.NumNodes(); u++ {
-		du := float64(und.OutDegree(u))
-		for _, v := range und.OutNeighbors(u) {
-			dv := float64(und.OutDegree(int(v)))
-			sx += du
-			sy += dv
-			sxx += du * du
-			syy += dv * dv
-			sxy += du * dv
-			cnt++
-		}
-	}
-	if cnt == 0 {
-		return 0
-	}
-	cov := sxy/cnt - (sx/cnt)*(sy/cnt)
-	vx := sxx/cnt - (sx/cnt)*(sx/cnt)
-	vy := syy/cnt - (sy/cnt)*(sy/cnt)
 	if vx <= 0 || vy <= 0 {
 		return 0
 	}

@@ -96,7 +96,7 @@ func TestLocalClusteringDirectionIgnored(t *testing.T) {
 	// Directions shouldn't matter: 0->1, 2->1, 0->2 still closes the
 	// undirected triangle.
 	g := FromEdges(3, [][2]int{{0, 1}, {2, 1}, {0, 2}})
-	if c := LocalClustering(g, 0); math.Abs(c-1) > 1e-12 {
+	if c := ClusteringCoefficients(g, 1)[0]; math.Abs(c-1) > 1e-12 {
 		t.Fatalf("directed triangle clustering = %v, want 1", c)
 	}
 }
@@ -123,20 +123,6 @@ func TestAssortativityBounds(t *testing.T) {
 		if math.IsNaN(r) || r < -1-1e-9 || r > 1+1e-9 {
 			t.Fatalf("assortativity out of range: %v", r)
 		}
-		u := UndirectedDegreeAssortativity(g)
-		if math.IsNaN(u) || u < -1-1e-9 || u > 1+1e-9 {
-			t.Fatalf("undirected assortativity out of range: %v", u)
-		}
-	}
-}
-
-func TestUndirectedAssortativityKnown(t *testing.T) {
-	// A path graph 0-1-2-3: degree pairs across edges (1,2),(2,1),(2,2),
-	// (2,2),(2,1),(1,2). Newman r for P4 is -0.5.
-	g := FromEdges(4, [][2]int{{0, 1}, {1, 2}, {2, 3}})
-	r := UndirectedDegreeAssortativity(g)
-	if math.Abs(r+0.5) > 1e-9 {
-		t.Fatalf("P4 assortativity = %v, want -0.5", r)
 	}
 }
 

@@ -166,16 +166,6 @@ var ErrDependencySkipped = errors.New("pipeline: dependency failed")
 // matches the context's own error (context.Canceled / DeadlineExceeded).
 var ErrCanceled = errors.New("pipeline: run cancelled")
 
-// Validate checks the graph for duplicate names, unknown dependencies and
-// cycles without running anything.
-func Validate(stages []Stage) error {
-	_, err := indexStages(stages)
-	if err != nil {
-		return err
-	}
-	return checkAcyclic(stages)
-}
-
 func indexStages(stages []Stage) (map[string]int, error) {
 	idx := make(map[string]int, len(stages))
 	for i, s := range stages {
@@ -430,11 +420,12 @@ func RunContext(ctx context.Context, stages []Stage, opts Options) ([]Timing, er
 //
 // The whole execution — cache lookup, Run, store — is wrapped in a pprof
 // label ("stage" = the stage name), so a CPU profile of a battery run
-// (go test -cpuprofile, or the server's /debug/pprof/profile) attributes
-// samples to pipeline stages: `go tool pprof -tagfocus stage=betweenness`
-// isolates one stage, `-tagshow stage` breaks the profile down by all of
-// them. Labels propagate to goroutines the stage spawns (the parallel
-// chunk workers inherit them), so sharded loops are attributed too.
+// (eliteanalyze -cpuprofile, or go test -cpuprofile) attributes samples to
+// pipeline stages: `go tool pprof -tagfocus stage=centrality` isolates one
+// stage, `-tagshow stage` breaks the profile down by all of them. Labels
+// propagate to goroutines the stage spawns (the parallel chunk workers
+// inherit them), so sharded loops are attributed too; work a stage shares
+// with others is charged to whichever stage asked for it first.
 func execute(ctx context.Context, s *Stage, opts *Options) (cacheHit bool, retries int, err error) {
 	pprof.Do(ctx, pprof.Labels("stage", s.Name), func(ctx context.Context) {
 		cacheHit, retries, err = executeWithPolicy(ctx, s, opts)

@@ -165,19 +165,26 @@ func TestParallelismBound(t *testing.T) {
 }
 
 func TestGraphValidation(t *testing.T) {
-	if err := Validate([]Stage{{Name: "a", Deps: []string{"missing"}}}); err == nil {
+	// Run validates the whole graph before any stage executes: a malformed
+	// graph fails without running even its well-formed stages.
+	ran := false
+	ok := func() error { ran = true; return nil }
+	if _, err := Run([]Stage{{Name: "a", Run: ok}, {Name: "b", Deps: []string{"missing"}, Run: ok}}, Options{}); err == nil {
 		t.Fatal("unknown dep must fail validation")
 	}
-	if err := Validate([]Stage{{Name: "a"}, {Name: "a"}}); err == nil {
+	if _, err := Run([]Stage{{Name: "a", Run: ok}, {Name: "a", Run: ok}}, Options{}); err == nil {
 		t.Fatal("duplicate name must fail validation")
 	}
-	if err := Validate([]Stage{{Name: "a", Deps: []string{"b"}}, {Name: "b", Deps: []string{"a"}}}); err == nil {
+	if _, err := Run([]Stage{{Name: "a", Deps: []string{"b"}, Run: ok}, {Name: "b", Deps: []string{"a"}, Run: ok}}, Options{}); err == nil {
 		t.Fatal("cycle must fail validation")
 	}
 	if _, err := Run([]Stage{{Name: "a", Deps: []string{"a"}}}, Options{}); err == nil {
 		t.Fatal("self-cycle must fail Run")
 	}
-	if err := Validate([]Stage{{Name: "a"}, {Name: "b", Deps: []string{"a"}}}); err != nil {
+	if ran {
+		t.Fatal("a stage ran in a graph that failed validation")
+	}
+	if _, err := Run([]Stage{{Name: "a", Run: ok}, {Name: "b", Deps: []string{"a"}, Run: ok}}, Options{}); err != nil || !ran {
 		t.Fatalf("valid graph rejected: %v", err)
 	}
 }

@@ -426,7 +426,7 @@ func TestVuongMatchesReference(t *testing.T) {
 	for _, f := range []*Fit{fd, fc} {
 		for _, alt := range []Alternative{AltLognormal, AltExponential, AltPoisson} {
 			want, werr := referenceVuong(f, alt)
-			got, gerr := f.CompareAlternative(alt)
+			got, gerr := f.compareAlternative(f.tailView(), alt)
 			if (werr == nil) != (gerr == nil) {
 				t.Fatalf("discrete=%v %v: err %v vs reference %v", f.Discrete, alt, gerr, werr)
 			}

@@ -88,19 +88,6 @@ func (l *LaplacianOperator) Apply(dst, src []float64) {
 	}
 }
 
-// MaxDegree returns the maximum undirected degree; λ_max of the Laplacian is
-// bounded by 2·MaxDegree (and below by MaxDegree+1 for graphs with at least
-// one edge), a sanity bound used in tests.
-func (l *LaplacianOperator) MaxDegree() float64 {
-	m := 0.0
-	for _, d := range l.deg {
-		if d > m {
-			m = d
-		}
-	}
-	return m
-}
-
 // DenseOperator wraps a dense symmetric matrix as an Operator (test oracle).
 type DenseOperator struct{ M *linalg.Matrix }
 

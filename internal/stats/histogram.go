@@ -21,16 +21,6 @@ func (h *Histogram) Total() int {
 	return t
 }
 
-// Centers returns the bin midpoints (geometric midpoints would suit log bins;
-// callers plotting log-log should use GeometricCenters).
-func (h *Histogram) Centers() []float64 {
-	out := make([]float64, len(h.Counts))
-	for i := range out {
-		out[i] = (h.Edges[i] + h.Edges[i+1]) / 2
-	}
-	return out
-}
-
 // GeometricCenters returns sqrt(lo·hi) per bin, the natural x-coordinate for
 // log-binned data.
 func (h *Histogram) GeometricCenters() []float64 {

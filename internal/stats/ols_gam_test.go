@@ -201,22 +201,3 @@ func TestSplineSmallSampleShrinksBasis(t *testing.T) {
 		t.Fatalf("small-sample fit Eval(5) = %v", sp.Eval(5))
 	}
 }
-
-func TestLogBinnedMedians(t *testing.T) {
-	x := []float64{1, 10, 100, 1000, 0, -2}
-	y := []float64{1, 2, 3, 4, 99, 99}
-	pts := LogBinnedMedians(x, y, 4)
-	if len(pts) == 0 {
-		t.Fatal("no bins")
-	}
-	total := 0
-	for _, p := range pts {
-		total += p.Count
-	}
-	if total != 4 {
-		t.Fatalf("binned %d values, want 4 (non-positive dropped)", total)
-	}
-	if LogBinnedMedians([]float64{1}, []float64{1, 2}, 3) != nil {
-		t.Fatal("mismatch should return nil")
-	}
-}

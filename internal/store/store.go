@@ -35,6 +35,20 @@ import (
 var (
 	ErrBadMagic   = errors.New("store: bad magic")
 	ErrBadVersion = errors.New("store: unsupported version")
+	// ErrCorruptGraph wraps every structural fault ReadGraph finds after a
+	// valid header: truncation, padded varints, out-of-range or unsorted
+	// rows, self-loops, an edge count that disagrees with the rows, and
+	// trailing bytes.
+	ErrCorruptGraph = errors.New("store: corrupt graph")
+)
+
+// ReadGraph preallocates at most this many nodes and edges from the header
+// and grows past them only as rows actually arrive, so a header that claims
+// a huge graph costs nothing until the bytes back it. Both caps exceed the
+// canonical 20k-user dataset, whose load allocates exactly as before.
+const (
+	maxPreallocNodes = 1 << 16
+	maxPreallocEdges = 1 << 20
 )
 
 const (
@@ -83,7 +97,12 @@ func WriteGraph(w io.Writer, g *graph.Digraph) error {
 	return bw.Flush()
 }
 
-// ReadGraph decodes a graph written by WriteGraph.
+// ReadGraph decodes a graph written by WriteGraph. It accepts exactly the
+// encodings WriteGraph produces — minimal varints, no trailing bytes — so
+// any graph it returns re-encodes to the same bytes. Malformed input fails
+// with ErrBadMagic, ErrBadVersion or an error wrapping ErrCorruptGraph; it
+// never panics, and it allocates in proportion to the bytes read, not to
+// the counts the header claims.
 func ReadGraph(r io.Reader) (*graph.Digraph, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, 4)
@@ -93,51 +112,83 @@ func ReadGraph(r io.Reader) (*graph.Digraph, error) {
 	if string(magic) != graphMagic {
 		return nil, ErrBadMagic
 	}
-	version, err := binary.ReadUvarint(br)
+	version, err := readUvarint(br)
 	if err != nil {
 		return nil, err
 	}
 	if version != graphVersion {
 		return nil, fmt.Errorf("%w: %d", ErrBadVersion, version)
 	}
-	n64, err := binary.ReadUvarint(br)
+	n64, err := readUvarint(br)
 	if err != nil {
 		return nil, err
 	}
-	m64, err := binary.ReadUvarint(br)
+	m64, err := readUvarint(br)
 	if err != nil {
 		return nil, err
 	}
 	if n64 > 1<<31 {
-		return nil, fmt.Errorf("store: implausible node count %d", n64)
+		return nil, fmt.Errorf("%w: implausible node count %d", ErrCorruptGraph, n64)
 	}
 	n := int(n64)
-	offsets := make([]int64, n+1)
-	adj := make([]int32, 0, m64)
+	offsets := make([]int64, 1, min(n64, maxPreallocNodes)+1)
+	adj := make([]int32, 0, min(m64, maxPreallocEdges))
 	for u := 0; u < n; u++ {
-		deg, err := binary.ReadUvarint(br)
+		deg, err := readUvarint(br)
 		if err != nil {
 			return nil, err
 		}
+		if deg > m64-uint64(len(adj)) {
+			return nil, fmt.Errorf("%w: row %d overruns the header's %d edges", ErrCorruptGraph, u, m64)
+		}
 		prev := int64(-1)
 		for i := uint64(0); i < deg; i++ {
-			delta, err := binary.ReadUvarint(br)
+			delta, err := readUvarint(br)
 			if err != nil {
 				return nil, err
 			}
-			v := prev + 1 + int64(delta)
-			if v >= int64(n) {
-				return nil, fmt.Errorf("store: node %d out of range in row %d", v, u)
+			// v = prev+1+delta must stay below n.
+			if delta >= uint64(int64(n)-1-prev) {
+				return nil, fmt.Errorf("%w: node out of range in row %d", ErrCorruptGraph, u)
 			}
+			v := prev + 1 + int64(delta)
 			adj = append(adj, int32(v))
 			prev = v
 		}
-		offsets[u+1] = int64(len(adj))
+		offsets = append(offsets, int64(len(adj)))
 	}
 	if uint64(len(adj)) != m64 {
-		return nil, fmt.Errorf("store: edge count mismatch: header %d, rows %d", m64, len(adj))
+		return nil, fmt.Errorf("%w: edge count mismatch: header %d, rows %d", ErrCorruptGraph, m64, len(adj))
 	}
-	return graph.NewFromCSR(n, offsets, adj)
+	if _, err := br.ReadByte(); err != io.EOF {
+		return nil, fmt.Errorf("%w: trailing bytes after the last row", ErrCorruptGraph)
+	}
+	g, err := graph.NewFromCSR(n, offsets, adj)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCorruptGraph, err)
+	}
+	return g, nil
+}
+
+// readUvarint reads one minimal-length uvarint, the only form WriteGraph
+// writes. Every varint after the magic is mandatory, so running out of
+// bytes is corruption too.
+func readUvarint(br *bufio.Reader) (uint64, error) {
+	var x uint64
+	for i := 0; i < binary.MaxVarintLen64; i++ {
+		b, err := br.ReadByte()
+		if err != nil {
+			return 0, fmt.Errorf("%w: %w", ErrCorruptGraph, io.ErrUnexpectedEOF)
+		}
+		if b < 0x80 {
+			if (i > 0 && b == 0) || (i == binary.MaxVarintLen64-1 && b > 1) {
+				return 0, fmt.Errorf("%w: non-canonical varint", ErrCorruptGraph)
+			}
+			return x | uint64(b)<<(7*i), nil
+		}
+		x |= uint64(b&0x7f) << (7 * i)
+	}
+	return 0, fmt.Errorf("%w: varint overflows 64 bits", ErrCorruptGraph)
 }
 
 // storedProfile is the JSON wire form of twitter.Profile.

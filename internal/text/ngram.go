@@ -136,9 +136,6 @@ func (c *Counter) Add(tokens []string) {
 // AddText tokenizes and counts a raw document.
 func (c *Counter) AddText(doc string) { c.Add(Tokenize(doc)) }
 
-// Distinct returns the number of distinct n-grams seen.
-func (c *Counter) Distinct() int { return len(c.counts) }
-
 // Top returns the k most frequent n-grams after filtering. An n-gram is
 // dropped when the majority of its tokens are stopwords (so "Editor in
 // Chief" survives with 1/3 stopwords, while "of the and" dies), or when any

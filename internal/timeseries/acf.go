@@ -8,7 +8,6 @@ package timeseries
 
 import (
 	"errors"
-	"math"
 
 	"elites/internal/mathx"
 )
@@ -129,33 +128,6 @@ func Difference(x []float64) []float64 {
 	out := make([]float64, len(x)-1)
 	for i := 1; i < len(x); i++ {
 		out[i-1] = x[i] - x[i-1]
-	}
-	return out
-}
-
-// Standardize returns (x − mean)/std; a zero-variance series maps to zeros.
-func Standardize(x []float64) []float64 {
-	n := len(x)
-	out := make([]float64, n)
-	if n == 0 {
-		return out
-	}
-	mean := 0.0
-	for _, v := range x {
-		mean += v
-	}
-	mean /= float64(n)
-	ss := 0.0
-	for _, v := range x {
-		d := v - mean
-		ss += d * d
-	}
-	if ss == 0 {
-		return out
-	}
-	sd := math.Sqrt(ss / float64(n))
-	for i, v := range x {
-		out[i] = (v - mean) / sd
 	}
 	return out
 }

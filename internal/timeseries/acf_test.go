@@ -167,24 +167,3 @@ func TestDifference(t *testing.T) {
 		t.Fatal("short diff should be nil")
 	}
 }
-
-func TestStandardize(t *testing.T) {
-	z := Standardize([]float64{1, 2, 3, 4, 5})
-	mean, ss := 0.0, 0.0
-	for _, v := range z {
-		mean += v
-	}
-	mean /= float64(len(z))
-	for _, v := range z {
-		ss += (v - mean) * (v - mean)
-	}
-	if math.Abs(mean) > 1e-12 || math.Abs(ss/float64(len(z))-1) > 1e-12 {
-		t.Fatalf("standardize: mean=%v var=%v", mean, ss/float64(len(z)))
-	}
-	zc := Standardize([]float64{3, 3, 3})
-	for _, v := range zc {
-		if v != 0 {
-			t.Fatal("constant series should standardize to zeros")
-		}
-	}
-}

@@ -242,15 +242,6 @@ func (p *Platform) NumVerified() int { return p.graph.NumNodes() }
 // ProfileByNode returns the profile of a graph node.
 func (p *Platform) ProfileByNode(v int) *Profile { return &p.profiles[v] }
 
-// ProfileByID returns the profile for a user id.
-func (p *Platform) ProfileByID(id int64) (*Profile, error) {
-	v, ok := p.byID[id]
-	if !ok {
-		return nil, ErrUnknownUser
-	}
-	return &p.profiles[v], nil
-}
-
 // EnglishNodes returns the node indexes whose profile language is English —
 // the population the paper studies.
 func (p *Platform) EnglishNodes() []int {

@@ -30,15 +30,6 @@ func TestPlatformBasics(t *testing.T) {
 	if share < 0.72 || share < 0.5 || share > 0.84 {
 		t.Fatalf("english share = %v, want ≈0.777", share)
 	}
-	// Profiles resolvable both ways.
-	pr := p.ProfileByNode(7)
-	got, err := p.ProfileByID(pr.ID)
-	if err != nil || got.ScreenName != pr.ScreenName {
-		t.Fatalf("profile lookup mismatch: %v", err)
-	}
-	if _, err := p.ProfileByID(555); err != ErrUnknownUser {
-		t.Fatal("unknown id should error")
-	}
 }
 
 func TestProfileMetricsPlausible(t *testing.T) {
