@@ -18,13 +18,15 @@ import (
 const (
 	distancesCodecVersion  = 1
 	centralityCodecVersion = 1
-	// degree and eigen are at v2: the PR 4 power-law kernel changed the
+	// degree and eigen went to v2 when the power-law kernel changed the
 	// fit's numerics (suffix-sum tail statistics, ladder-evaluated zeta,
 	// warm-started Brent) and the bootstrap's denominator accounting
 	// (dropped replicates are excluded), plus Fit grew derived unexported
 	// state — v1 entries carry pre-kernel values and must not be served.
 	degreeCodecVersion = 2
-	eigenCodecVersion  = 2
+	// eigen is at v3: partial reorthogonalization changed the Lanczos
+	// rounding, and a v2 entry would break cold = warm byte identity.
+	eigenCodecVersion = 3
 	// basic and mutualcore joined the cache in PR 4 (the ROADMAP's
 	// mid-weight leftovers): both are pure functions of the graph with no
 	// shaping options, so their options digest is the empty hash.

@@ -1,10 +1,10 @@
 // Package spectral computes extremal eigenvalues of graph matrices without
 // materializing them. The paper fits a power law to the largest Laplacian
 // eigenvalues of the verified sub-graph (computed there "using the power
-// iteration method in existing solvers"); we provide both a Lanczos solver
-// with full reorthogonalization (the workhorse) and a power-iteration-with-
-// deflation solver (the ablation baseline), on matrix-free operators for the
-// symmetrized adjacency and Laplacian.
+// iteration method in existing solvers"); we provide a Lanczos solver with
+// partial reorthogonalization (the workhorse) and a power-iteration-with-
+// deflation solver (the ablation baseline), on a matrix-free operator for
+// the Laplacian of the undirected projection.
 package spectral
 
 import (
@@ -25,34 +25,6 @@ type Operator interface {
 	// Apply computes dst = A·src; dst and src have length Dim and do not
 	// alias.
 	Apply(dst, src []float64)
-}
-
-// AdjacencyOperator applies the symmetrized adjacency matrix of a digraph:
-// A_sym[u][v] = 1 iff u→v or v→u. Symmetrization makes the spectrum real,
-// matching how spectral analyses of directed social graphs are performed in
-// practice (including the toolchains the paper used).
-type AdjacencyOperator struct {
-	und *graph.Digraph
-}
-
-// NewAdjacencyOperator builds the operator (materializes the undirected
-// projection once).
-func NewAdjacencyOperator(g *graph.Digraph) *AdjacencyOperator {
-	return &AdjacencyOperator{und: g.Undirected()}
-}
-
-// Dim returns the number of nodes.
-func (a *AdjacencyOperator) Dim() int { return a.und.NumNodes() }
-
-// Apply computes dst = A_sym·src.
-func (a *AdjacencyOperator) Apply(dst, src []float64) {
-	for u := 0; u < a.und.NumNodes(); u++ {
-		s := 0.0
-		for _, v := range a.und.OutNeighbors(u) {
-			s += src[v]
-		}
-		dst[u] = s
-	}
 }
 
 // LaplacianOperator applies L = D − A_sym of the undirected projection,
@@ -101,103 +73,128 @@ func (d *DenseOperator) Apply(dst, src []float64) {
 }
 
 // TopEigenvaluesLanczos computes the k largest eigenvalues of the symmetric
-// operator op using the Lanczos iteration with full reorthogonalization
-// against all stored basis vectors (robust against the ghost-eigenvalue
-// problem at the cost of O(n·iters) memory). iters controls the Krylov
-// dimension; it is clamped to [2k+10, n]. Eigenvalues return in descending
-// order; only Ritz values that have converged (residual heuristic via
-// repetition) are trustworthy, so callers requesting k values should allow
-// iters ≈ 3k for power-law-tailed spectra.
+// operator op by the Lanczos iteration with partial reorthogonalization.
+// iters controls the Krylov dimension; it is clamped to [2k+10, n], and the
+// basis grows one n-vector per step. Eigenvalues return in descending order;
+// only converged Ritz values are trustworthy, so callers requesting k values
+// should allow iters ≈ 3k for power-law-tailed spectra.
 func TopEigenvaluesLanczos(op Operator, k, iters int, rng *mathx.RNG) ([]float64, error) {
+	evs, _, err := lanczos(op, k, iters, rng)
+	return evs, err
+}
+
+// Machine epsilon, and the orthogonality level the basis is kept at.
+const eps, sqrtEps = 0x1p-52, 0x1p-26
+
+// lanczos is TopEigenvaluesLanczos, also counting the steps that ran a full
+// modified Gram-Schmidt pass against the basis. Following Simon (Math. Comp.
+// 42, 1984), it tracks ω_{j+1,i} ≈ v_{j+1}·v_i by a three-term recurrence in
+// O(j) scalars per step and runs a pass only when max|ω| > √ε, plus on the
+// step after; semi-orthogonality is enough for Ritz values to match full
+// reorthogonalization to rounding, ghost-free. The recurrence's rounding term
+// is a fixed-sign bound, so the RNG is read only for the start vector and
+// each invariant-subspace restart.
+func lanczos(op Operator, k, iters int, rng *mathx.RNG) (evs []float64, passes int, err error) {
 	n := op.Dim()
 	if n == 0 {
-		return nil, nil
+		return nil, 0, nil
 	}
 	if k <= 0 {
-		return nil, ErrBadParam
+		return nil, 0, ErrBadParam
 	}
-	if k > n {
-		k = n
-	}
-	if iters < 2*k+10 {
-		iters = 2*k + 10
-	}
-	if iters > n {
-		iters = n
-	}
-	if iters < 1 {
-		iters = 1
-	}
-	// Lanczos with full reorthogonalization.
+	k = min(k, n)
+	iters = min(max(iters, 2*k+10), n)
 	basis := make([][]float64, 0, iters)
 	alpha := make([]float64, 0, iters)
 	beta := make([]float64, 0, iters) // beta[j] couples v_j and v_{j+1}
+	// At step j, omega[i] ≈ v_j·v_i and prev[i] ≈ v_{j-1}·v_i.
+	omega, prev := append(make([]float64, 0, iters+1), 1), make([]float64, 0, iters+1)
+	force := false
 	v := make([]float64, n)
 	for i := range v {
 		v[i] = rng.Normal()
 	}
 	normalize(v)
 	w := make([]float64, n)
+	// reorth is one modified Gram-Schmidt sweep of w against the basis.
+	// Each vector's update of w is fused with the next vector's dot
+	// product, so w streams once per vector; the arithmetic is unchanged.
+	reorth := func() {
+		passes++
+		last := basis[0]
+		c := linalg.Dot(w, last)
+		for _, u := range basis[1:] {
+			p, u := last[:len(w)], u[:len(w)]
+			s := 0.0
+			for i := range w {
+				w[i] -= c * p[i]
+				s += w[i] * u[i]
+			}
+			c, last = s, u
+		}
+		linalg.Axpy(-c, last, w)
+	}
 	for j := 0; j < iters; j++ {
 		basis = append(basis, append([]float64(nil), v...))
 		op.Apply(w, v)
 		a := linalg.Dot(w, v)
 		alpha = append(alpha, a)
-		// w ← w − a·v_j − b_{j-1}·v_{j-1}, then full reorthogonalization.
+		// w ← w − a·v_j − b_{j-1}·v_{j-1}.
 		linalg.Axpy(-a, v, w)
 		if j > 0 {
 			linalg.Axpy(-beta[j-1], basis[j-1], w)
 		}
-		for _, u := range basis {
-			c := linalg.Dot(w, u)
-			if c != 0 {
-				linalg.Axpy(-c, u, w)
-			}
-		}
 		b := linalg.Norm2(w)
+		// prev becomes row j+1 of ω in place: entry i reads only prev[i].
+		prev = append(prev, eps, 1)
+		worst := 0.0
+		for i := 0; i < j && b >= 1e-10; i++ {
+			t := beta[i]*omega[i+1] + (alpha[i]-a)*omega[i] - beta[j-1]*prev[i]
+			if i > 0 {
+				t += beta[i-1] * omega[i-1]
+			}
+			prev[i] = (t + math.Copysign(eps*(beta[i]+b)*0.3, t)) / b
+			worst = max(worst, math.Abs(prev[i]))
+		}
+		pass := force || worst > sqrtEps
+		if pass {
+			reorth()
+			b = linalg.Norm2(w)
+			force = !force
+		}
+		coupling := b
 		if b < 1e-10 {
-			// Invariant subspace found. Restart with a random vector
-			// orthogonal to the basis and record a zero coupling so
-			// the tridiagonal matrix splits into independent blocks
-			// (keeping a nonzero β here would fabricate spurious
-			// coupling between the blocks).
+			// Invariant subspace found. Restart from a random vector
+			// orthogonal to the basis and record a zero coupling, so the
+			// tridiagonal matrix splits into independent blocks.
 			if len(basis) >= n {
 				break
 			}
 			for i := range w {
 				w[i] = rng.Normal()
 			}
-			for _, u := range basis {
-				c := linalg.Dot(w, u)
-				linalg.Axpy(-c, u, w)
-			}
-			b2 := linalg.Norm2(w)
-			if b2 < 1e-10 {
+			reorth()
+			if b = linalg.Norm2(w); b < 1e-10 {
 				break
 			}
-			beta = append(beta, 0)
-			for i := range v {
-				v[i] = w[i] / b2
-			}
-			continue
+			coupling, pass, force = 0, true, true
 		}
-		beta = append(beta, b)
+		if pass {
+			for i := 0; i < j; i++ {
+				prev[i] = eps
+			}
+		}
+		omega, prev = prev, omega
+		beta = append(beta, coupling)
 		for i := range v {
 			v[i] = w[i] / b
 		}
 	}
-	m := len(alpha)
-	if m == 0 {
-		return nil, nil
-	}
-	evs, err := linalg.SymTridiagonalEigenvalues(alpha, beta[:m-1])
+	evs, err = linalg.SymTridiagonalEigenvalues(alpha, beta[:len(alpha)-1])
 	if err != nil {
-		return nil, err
+		return nil, passes, err
 	}
-	if k > len(evs) {
-		k = len(evs)
-	}
-	return evs[:k], nil
+	return evs[:min(k, len(evs))], passes, nil
 }
 
 // TopEigenvaluesPower computes the k largest eigenvalues by power iteration

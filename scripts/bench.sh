@@ -7,9 +7,10 @@
 # goodness-of-fit bootstrap (1/2/8), the full characterization cold vs.
 # warm result cache, the HTTP serving layer's cold vs. warm report
 # request latency (eliteserve's stack: router, coalescer, admission,
-# pipeline, encoding), the bulk per-user feature matrix pass (1/8), and
+# pipeline, encoding), the bulk per-user feature matrix pass (1/8),
 # warm users:batch requests (encoded-body memo vs. precomputed feature
-# shards).
+# shards), and the §IV-B Lanczos eigenvalue fit (top 150 from 450 Krylov
+# vectors).
 #
 # Benchmark names are normalized (the trailing -GOMAXPROCS suffix is
 # stripped) so baselines survive a change in core count; allocation stats
@@ -34,7 +35,7 @@ MODE="${1:-record}"
 BENCHTIME="${BENCHTIME:-2x}"
 OUT="${OUT:-BENCH_results.json}"
 BASELINE="${BASELINE:-BENCH_results.json}"
-PATTERN="${PATTERN:-BenchmarkBetweennessParallel|BenchmarkBootstrapParallel|BenchmarkCharacterizationCache|BenchmarkServeRequest|BenchmarkFeatureMatrix|BenchmarkServeUserBatch}"
+PATTERN="${PATTERN:-BenchmarkBetweennessParallel|BenchmarkBootstrapParallel|BenchmarkCharacterizationCache|BenchmarkServeRequest|BenchmarkFeatureMatrix|BenchmarkServeUserBatch|BenchmarkEigenvaluePowerLaw}"
 GATE_PATTERN="${GATE_PATTERN:-}"
 GATE_MAX="${GATE_MAX:-}"
 
