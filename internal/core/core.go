@@ -46,14 +46,11 @@ type Options struct {
 	DistanceSources int
 	// BetweennessSources is the number of Brandes sources (0 = 256).
 	BetweennessSources int
-	// EigenK is how many top Laplacian eigenvalues to fit (0 = 150).
+	// EigenK is how many top Laplacian eigenvalues to fit (0 = 150); the
+	// Lanczos Krylov dimension is always 3·EigenK.
 	EigenK int
-	// EigenIters is the Lanczos Krylov dimension (0 = 3·EigenK).
-	EigenIters int
 	// BootstrapReps is the CSN goodness-of-fit replicate count (0 = 50).
 	BootstrapReps int
-	// TopNGrams is the table length for bios (0 = 15, the paper's).
-	TopNGrams int
 	// Seed drives all sampling.
 	Seed uint64
 	// SkipEigen skips the Laplacian eigenvalue analysis.
@@ -62,9 +59,6 @@ type Options struct {
 	SkipBetweenness bool
 	// SkipBootstrap skips goodness-of-fit bootstraps.
 	SkipBootstrap bool
-	// SkipCategories skips the per-archetype table and the §IV-C
-	// mutual-core validation.
-	SkipCategories bool
 	// Parallelism bounds how many analysis stages run concurrently
 	// (0 = GOMAXPROCS, 1 = one stage at a time) and is also the worker
 	// budget handed to the stages that shard their own hot loops
@@ -126,10 +120,6 @@ type Options struct {
 	// StageRetryBackoff is the base delay between retry attempts, doubling
 	// per attempt (0 = 10ms). It never affects results, only latency.
 	StageRetryBackoff time.Duration
-	// StageTimeout bounds each stage's wall clock; a stage that overruns
-	// fails with pipeline.ErrStageTimeout and the rest of the battery
-	// continues. 0 disables per-stage deadlines.
-	StageTimeout time.Duration
 	// Faults, when non-nil, is the deterministic fault-injection layer: the
 	// scheduler consults it before every stage attempt and the result cache
 	// before every disk operation. Production runs leave it nil; the chaos
@@ -216,14 +206,8 @@ func (o Options) withDefaults() Options {
 	if o.EigenK == 0 {
 		o.EigenK = 150
 	}
-	if o.EigenIters == 0 {
-		o.EigenIters = 3 * o.EigenK
-	}
 	if o.BootstrapReps == 0 {
 		o.BootstrapReps = 50
-	}
-	if o.TopNGrams == 0 {
-		o.TopNGrams = 15
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -362,16 +346,10 @@ func (c *Characterizer) RunContext(ctx context.Context, ds *twitter.Dataset, act
 	// expensive stage a key over exactly the options that shape its
 	// output. cached is the identity when the cache is off, so the stage
 	// graph below reads the same either way.
-	var rcache *cache.Cache
+	rcache := c.opts.resultCache()
 	var dsDigest uint64
-	if c.opts.CacheDir != "" && !c.opts.NoCache {
-		if cc, err := cache.New(c.opts.CacheDir); err == nil {
-			rcache = cc
-			if c.opts.CacheMemBytes > 0 {
-				rcache.SetMaxBytes(c.opts.CacheMemBytes)
-			}
-			dsDigest = store.DatasetDigest(ds, activity)
-		}
+	if rcache != nil {
+		dsDigest = store.DatasetDigest(ds, activity)
 	}
 	sc := stageCache{c: rcache, dataset: dsDigest}
 
@@ -412,7 +390,7 @@ func (c *Characterizer) RunContext(ctx context.Context, ds *twitter.Dataset, act
 			rep.Eigen = c.eigenAnalysis(art.und(), base.Derive(StageEigen))
 			return nil
 		}}, eigenCodecVersion,
-			cache.HashWords(c.opts.Seed, uint64(c.opts.EigenK), uint64(c.opts.EigenIters),
+			cache.HashWords(c.opts.Seed, uint64(c.opts.EigenK), uint64(eigenIters(c.opts.EigenK)),
 				uint64(c.opts.BootstrapReps), boolWord(c.opts.SkipBootstrap)),
 			&rep.Eigen, encodePowerLawTo, decodePowerLawFrom))
 	}
@@ -444,26 +422,22 @@ func (c *Characterizer) RunContext(ctx context.Context, ds *twitter.Dataset, act
 			}}, centralityCodecVersion,
 				cache.HashWords(c.opts.Seed, uint64(c.opts.BetweennessSources), boolWord(c.opts.SkipBetweenness)),
 				&rep.Centrality, encodeCentralityTo, decodeCentralityFrom),
-		)
-		if !c.opts.SkipCategories {
-			stages = append(stages, pipeline.Stage{Name: StageCategories, Run: func() error {
+			pipeline.Stage{Name: StageCategories, Run: func() error {
 				if pr, err := art.pagerank(); err == nil {
 					if ca, err := analyzeCategories(ds, pr); err == nil {
 						rep.Categories = ca
 					}
 				}
 				return nil
-			}})
-		}
+			}},
+		)
 	}
-	if !c.opts.SkipCategories {
-		stages = append(stages, cached(sc, pipeline.Stage{Name: StageMutualCore, Run: func() error {
-			rep.MutualCore = analyzeMutualCore(g, art.und(), art.cores())
-			return nil
-		}}, mutualCoreCodecVersion,
-			cache.HashWords(), // deterministic over the graph; no options
-			&rep.MutualCore, encodeMutualCoreTo, decodeMutualCoreFrom))
-	}
+	stages = append(stages, cached(sc, pipeline.Stage{Name: StageMutualCore, Run: func() error {
+		rep.MutualCore = analyzeMutualCore(g, art.und(), art.cores())
+		return nil
+	}}, mutualCoreCodecVersion,
+		cache.HashWords(), // deterministic over the graph; no options
+		&rep.MutualCore, encodeMutualCoreTo, decodeMutualCoreFrom))
 	if activity != nil {
 		stages = append(stages, pipeline.Stage{Name: StageActivity, Run: func() error {
 			c.activityAnalysis(rep, activity)
@@ -471,26 +445,20 @@ func (c *Characterizer) RunContext(ctx context.Context, ds *twitter.Dataset, act
 		}})
 	}
 	if c.opts.Features || stageRequested(c.opts.Stages, StageFeatures) {
-		fopts := features.Options{
-			BetweennessSources: c.opts.BetweennessSources,
-			Seed:               c.opts.Seed,
-			Parallelism:        c.opts.Parallelism,
-		}
-		fdigest := features.OptionsDigest(fopts)
 		// Row payloads are cached as per-shard entries (features.Store)
 		// keyed on the same (dataset, options) identity; the stage body is
 		// just the manifest. A missing or corrupt shard fails Decode, so
 		// the scheduler treats the whole stage as a miss and recomputes —
 		// the matrix is never partially hydrated.
-		fstore := features.Store{Cache: rcache, Dataset: dsDigest, Options: fdigest}
+		fstore, _ := c.opts.FeatureShards(dsDigest)
 		stages = append(stages, cached(sc, pipeline.Stage{Name: StageFeatures, Run: func() error {
-			m, err := features.ComputeFrom(ds, fopts, art.featureInputs())
+			m, err := features.ComputeFrom(ds, c.opts.featureOptions(), art.featureInputs())
 			if err != nil {
 				return err
 			}
 			rep.Features = m
 			return nil
-		}}, features.ManifestCodecVersion, fdigest, &rep.Features,
+		}}, features.ManifestCodecVersion, fstore.Options, &rep.Features,
 			func(e *cache.Encoder, m *features.Matrix) {
 				features.EncodeManifest(e, m)
 				fstore.Put(m)
@@ -509,16 +477,15 @@ func (c *Characterizer) RunContext(ctx context.Context, ds *twitter.Dataset, act
 		return nil, err
 	}
 	// Per-stage resilience policy: bounded retries with deterministic
-	// backoff and an optional deadline, applied uniformly (panics are never
-	// retried — the pipeline refuses).
-	if c.opts.StageRetries > 0 || c.opts.StageTimeout > 0 {
+	// backoff, applied uniformly (panics are never retried — the pipeline
+	// refuses).
+	if c.opts.StageRetries > 0 {
 		policy := pipeline.RetryPolicy{MaxRetries: c.opts.StageRetries, Backoff: c.opts.StageRetryBackoff}
-		if policy.MaxRetries > 0 && policy.Backoff == 0 {
+		if policy.Backoff == 0 {
 			policy.Backoff = 10 * time.Millisecond
 		}
 		for i := range stages {
 			stages[i].Retry = policy
-			stages[i].Timeout = c.opts.StageTimeout
 		}
 	}
 	popts := pipeline.Options{
@@ -628,14 +595,6 @@ func (c *Characterizer) RunContext(ctx context.Context, ds *twitter.Dataset, act
 	return rep, nil
 }
 
-// boolWord folds a flag into an options digest.
-func boolWord(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // stageRequested reports whether a stage selection names stage explicitly.
 func stageRequested(requested []string, stage string) bool {
 	for _, name := range requested {
@@ -743,11 +702,14 @@ func (c *Characterizer) degreeAnalysis(g *graph.Digraph, art *artifacts, rng *ma
 	return res
 }
 
+// eigenIters is the Lanczos Krylov dimension for k eigenvalues.
+func eigenIters(k int) int { return 3 * k }
+
 // eigenAnalysis fits the top Laplacian eigenvalues of the undirected
 // projection und.
 func (c *Characterizer) eigenAnalysis(und *graph.Digraph, rng *mathx.RNG) *PowerLawAnalysis {
 	op := spectral.NewLaplacianOperator(und)
-	evs, err := spectral.TopEigenvaluesLanczos(op, c.opts.EigenK, c.opts.EigenIters, rng)
+	evs, err := spectral.TopEigenvaluesLanczos(op, c.opts.EigenK, eigenIters(c.opts.EigenK), rng)
 	if err != nil || len(evs) == 0 {
 		return nil
 	}
@@ -765,6 +727,9 @@ func (c *Characterizer) eigenAnalysis(und *graph.Digraph, rng *mathx.RNG) *Power
 	return pa
 }
 
+// topNGrams is the bios table length (the paper's 15; unigrams list 2×).
+const topNGrams = 15
+
 func (c *Characterizer) bioAnalysis(rep *Report, ds *twitter.Dataset) {
 	uni := text.NewCounter(1)
 	big := text.NewCounter(2)
@@ -775,7 +740,7 @@ func (c *Characterizer) bioAnalysis(rep *Report, ds *twitter.Dataset) {
 		big.Add(toks)
 		tri.Add(toks)
 	}
-	k := c.opts.TopNGrams
+	k := topNGrams
 	ba := &BioAnalysis{
 		TopUnigrams: uni.Top(2 * k),
 		TopBigrams:  big.Top(k),

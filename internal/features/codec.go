@@ -23,6 +23,13 @@ const ManifestCodecVersion = 1
 // NumShards returns the number of shards covering an n-row matrix.
 func NumShards(n int) int { return (n + ShardRows - 1) / ShardRows }
 
+// shardBounds returns the first row and row count of shard i of an n-row
+// matrix; count <= 0 when the shard lies past the last row.
+func shardBounds(i, n int) (lo, count int) {
+	lo = i * ShardRows
+	return lo, min(n-lo, ShardRows)
+}
+
 // shardKey builds the cache key of shard i for a (dataset, options) pair.
 // The shard index lives in the stage name so each shard is its own cache
 // entry with the standard key-echo + checksum protection.
@@ -154,8 +161,8 @@ func DecodeManifest(d *cache.Decoder, wantN int) (*Matrix, error) {
 }
 
 // Store reads and writes a matrix's row shards through a cache instance,
-// keyed by the (dataset digest, feature-options digest) identity that core
-// and the serving layer share.
+// keyed by a (dataset digest, feature-options digest) identity; build one
+// with core's (Options).FeatureShards.
 type Store struct {
 	// Cache is the backing cache (shared per directory).
 	Cache *cache.Cache
@@ -170,11 +177,7 @@ type Store struct {
 // recompute, never correctness.
 func (s Store) Put(m *Matrix) {
 	for i := 0; i < NumShards(m.N); i++ {
-		lo := i * ShardRows
-		count := m.N - lo
-		if count > ShardRows {
-			count = ShardRows
-		}
+		lo, count := shardBounds(i, m.N)
 		s.Cache.Put(shardKey(s.Dataset, s.Options, i), encodeShard(m, lo, count))
 	}
 }
@@ -188,22 +191,13 @@ func (s Store) Load(m *Matrix) error {
 	probs := make([]float64, m.N*NumClasses)
 	class := make([]uint8, m.N)
 	for i := 0; i < NumShards(m.N); i++ {
-		lo := i * ShardRows
-		count := m.N - lo
-		if count > ShardRows {
-			count = ShardRows
-		}
-		body, ok := s.Cache.Get(shardKey(s.Dataset, s.Options, i))
+		r, ok := s.LoadShard(i, m.N)
 		if !ok {
-			return fmt.Errorf("features: shard %d missing", i)
+			return fmt.Errorf("features: shard %d missing or corrupt", i)
 		}
-		r, err := decodeShard(body, lo, count)
-		if err != nil {
-			return fmt.Errorf("features: shard %d: %w", i, err)
-		}
-		copy(data[lo*NumFeatures:], r.Data)
-		copy(probs[lo*NumClasses:], r.Probs)
-		copy(class[lo:], r.Class)
+		copy(data[r.Lo*NumFeatures:], r.Data)
+		copy(probs[r.Lo*NumClasses:], r.Probs)
+		copy(class[r.Lo:], r.Class)
 	}
 	m.Data, m.Probs, m.Class = data, probs, class
 	return nil
@@ -213,13 +207,9 @@ func (s Store) Load(m *Matrix) error {
 // [i·ShardRows, …) of an n-row matrix. ok is false on a miss or corrupt
 // entry — the serving layer then falls back to running the pipeline stage.
 func (s Store) LoadShard(i, n int) (*Rows, bool) {
-	lo := i * ShardRows
-	if lo >= n {
+	lo, count := shardBounds(i, n)
+	if count <= 0 {
 		return nil, false
-	}
-	count := n - lo
-	if count > ShardRows {
-		count = ShardRows
 	}
 	body, ok := s.Cache.Get(shardKey(s.Dataset, s.Options, i))
 	if !ok {

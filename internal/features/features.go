@@ -11,12 +11,14 @@
 // fixed-width fragments (ShardRows) that are filled via the shared worker
 // pool and stored through internal/cache under a dedicated codec version
 // (codec.go), so serving layers answer per-user feature requests from
-// precomputed shards without touching the pipeline. The graph-wide inputs
-// (k-cores, PageRank, the clustering vector, the out-degree power-law fit)
-// arrive as Inputs: the core pipeline hands over the ones its other stages
-// already computed (ComputeFrom), and a standalone Compute fills them
-// itself with the same kernels; only the sampled betweenness is always the
-// matrix's own. The determinism contract of the rest of the repo holds
+// precomputed shards without touching the pipeline; (*Matrix).Shards cuts
+// a freshly computed matrix into the same row ranges without copying, so a
+// server keeps one per-shard row memo whichever way the rows arrived. The
+// graph-wide inputs (k-cores, PageRank, the clustering vector, the
+// out-degree power-law fit) arrive as Inputs: the core pipeline hands over
+// the ones its other stages already computed (ComputeFrom), and a
+// standalone Compute fills them itself with the same kernels; only the
+// sampled betweenness is always the matrix's own. The determinism contract of the rest of the repo holds
 // here too: the matrix is bit-identical at every worker budget (fixed shard
 // layout, per-stage derived RNG streams for the sampled betweenness, a
 // serial percentile pass) and so is the trained scorer.
@@ -109,8 +111,7 @@ func (o Options) withDefaults() Options {
 }
 
 // OptionsDigest folds the result-shaping options into the features half of
-// a cache key. core and the serving layer must agree on this digest for a
-// server to find the shards a pipeline run stored.
+// a cache key.
 func OptionsDigest(o Options) uint64 {
 	o = o.withDefaults()
 	return cache.HashWords(o.Seed, uint64(o.BetweennessSources))
@@ -170,6 +171,24 @@ type Matrix struct {
 	TailCount int
 	// ClassCounts is the number of rows per scorer class.
 	ClassCounts [NumClasses]int
+}
+
+// Shards splits the matrix into its ShardRows-wide fragments, the same row
+// ranges the shard codec stores. The fragments alias the matrix's storage;
+// nothing is copied.
+func (m *Matrix) Shards() []Rows {
+	out := make([]Rows, NumShards(m.N))
+	for i := range out {
+		lo, count := shardBounds(i, m.N)
+		hi := lo + count
+		out[i] = Rows{
+			Lo:    lo,
+			Data:  m.Data[lo*NumFeatures : hi*NumFeatures : hi*NumFeatures],
+			Probs: m.Probs[lo*NumClasses : hi*NumClasses : hi*NumClasses],
+			Class: m.Class[lo:hi:hi],
+		}
+	}
+	return out
 }
 
 // RankByOutDegree returns node ids ordered by the serving layer's per-user

@@ -92,9 +92,8 @@ type Config struct {
 	// HedgeAfter, when positive, is a fixed delay after which a warm GET
 	// launches a speculative second attempt. When zero, the trigger is
 	// adaptive: the p95 of recent successful GET latencies, active once
-	// HedgeMinSamples (default 20) have been observed.
-	HedgeAfter      time.Duration
-	HedgeMinSamples int
+	// hedgeMinSamples have been observed.
+	HedgeAfter time.Duration
 
 	// CacheDir is the shared result-cache directory; the router stores
 	// last-known-good bodies there for degraded serving. Empty disables
@@ -144,9 +143,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.BackoffCap <= 0 {
 		c.BackoffCap = time.Second
-	}
-	if c.HedgeMinSamples <= 0 {
-		c.HedgeMinSamples = 20
 	}
 	if c.Transport == nil {
 		c.Transport = http.DefaultTransport
@@ -695,6 +691,10 @@ func (rt *Router) observeLatency(d time.Duration) {
 	rt.latMu.Unlock()
 }
 
+// hedgeMinSamples is how many successful GET latencies the adaptive hedge
+// trigger needs before its p95 is trusted.
+const hedgeMinSamples = 20
+
 // hedgeDelay returns the current hedge trigger: the fixed HedgeAfter if
 // configured, otherwise the p95 of recent successful GET latencies once
 // enough samples exist. ok=false disables hedging for this request.
@@ -704,7 +704,7 @@ func (rt *Router) hedgeDelay() (time.Duration, bool) {
 	}
 	rt.latMu.Lock()
 	n := rt.latCount
-	if n < rt.cfg.HedgeMinSamples {
+	if n < hedgeMinSamples {
 		rt.latMu.Unlock()
 		return 0, false
 	}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -398,6 +400,44 @@ func TestDegradedServesLastKnownGood(t *testing.T) {
 	rec2 := doGet(rt, target)
 	if rec2.Code != http.StatusOK || rec2.Body.String() != clean {
 		t.Fatalf("second degraded read: %d %q", rec2.Code, rec2.Body.String())
+	}
+}
+
+// TestLastKnownGoodWrittenOncePerBody: an unchanged clean body is not
+// rewritten to the last-known-good store on every GET — deleting the entry
+// file after the first request and proxying again must not recreate it —
+// while degraded serving still replays the stored bytes.
+func TestLastKnownGoodWrittenOncePerBody(t *testing.T) {
+	bs, addrs := fakeFleet(t, 1)
+	dir := t.TempDir()
+	rt := newTestRouter(t, Config{Workers: addrs, CacheDir: dir})
+	defer cache.Release(dir)
+
+	const target = "/v1/datasets/demo/report?stages=summary"
+	clean := `{"summary":{"nodes":400}}`
+	bs.set(addrs[0], respondText(http.StatusOK, clean))
+	if rec := doGet(rt, target); rec.Code != http.StatusOK {
+		t.Fatalf("first request: %d", rec.Code)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "routerlkg-*.bin"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("want one last-known-good file after the first GET, got %v (err %v)", files, err)
+	}
+	if err := os.Remove(files[0]); err != nil {
+		t.Fatal(err)
+	}
+	if rec := doGet(rt, target); rec.Code != http.StatusOK || rec.Body.String() != clean {
+		t.Fatalf("second request: %d %q", rec.Code, rec.Body.String())
+	}
+	if _, err := os.Stat(files[0]); !os.IsNotExist(err) {
+		t.Fatalf("unchanged body rewrote %s (stat err %v)", files[0], err)
+	}
+
+	bs.set(addrs[0], respondText(http.StatusInternalServerError, "dead"))
+	rec := doGet(rt, target)
+	if rec.Code != http.StatusOK || rec.Body.String() != clean ||
+		rec.Header().Get("X-Elites-Degraded") != "true" {
+		t.Fatalf("degraded read: %d %q %v", rec.Code, rec.Body.String(), rec.Header())
 	}
 }
 

@@ -3,6 +3,8 @@ package fleet
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
+	"sync"
 
 	"elites/internal/cache"
 )
@@ -21,6 +23,12 @@ import (
 // lkgStore persists last-known-good response bodies keyed by identity.
 type lkgStore struct {
 	c *cache.Cache // nil when the router runs cache-less (memory off too)
+
+	// stored holds, per identity, the checksum of the entry this process
+	// last wrote, so an unchanged warm body is not rewritten on every GET.
+	mu     sync.Mutex
+	seed   maphash.Seed
+	stored map[uint64]uint64
 }
 
 // newLKGStore opens the store over the shared cache directory; an empty
@@ -33,7 +41,7 @@ func newLKGStore(dir string) (*lkgStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &lkgStore{c: c}, nil
+	return &lkgStore{c: c, seed: maphash.MakeSeed(), stored: map[uint64]uint64{}}, nil
 }
 
 // key renders the cache key for one identity.
@@ -41,15 +49,30 @@ func (s *lkgStore) key(identity uint64) string {
 	return fmt.Sprintf("routerlkg-%016x", identity)
 }
 
-// put records a clean body and its content type for identity.
+// put records a clean body and its content type for identity, skipping
+// the write when this process already stored the same bytes for it.
 func (s *lkgStore) put(identity uint64, contentType string, body []byte) {
 	if s.c == nil {
+		return
+	}
+	var h maphash.Hash
+	h.SetSeed(s.seed)
+	h.WriteString(contentType)
+	h.WriteByte(0)
+	h.Write(body)
+	sum := h.Sum64()
+	// Held across the write so the recorded checksum always names the
+	// last entry written; writes happen only for new or changed bodies.
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if prev, ok := s.stored[identity]; ok && prev == sum {
 		return
 	}
 	buf := binary.AppendUvarint(nil, uint64(len(contentType)))
 	buf = append(buf, contentType...)
 	buf = append(buf, body...)
 	s.c.Put(s.key(identity), buf)
+	s.stored[identity] = sum
 }
 
 // get returns the last-known-good body for identity, if one was recorded.

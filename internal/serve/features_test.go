@@ -3,11 +3,16 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
+	"elites/internal/core"
 	"elites/internal/graph"
 	"elites/internal/twitter"
 )
@@ -189,5 +194,88 @@ func TestUserFeaturesNaNRendersNull(t *testing.T) {
 	}
 	if !json.Valid(body) {
 		t.Fatal("body is not valid JSON")
+	}
+}
+
+// TestFeatureRequestsShareOneRun: without a result cache, the first
+// feature request's run fills the dataset's row memo for every later one,
+// so two single-user requests and a batch over ranks 3–40 cost exactly one
+// pipeline run — and none of them counts as a shard hit.
+func TestFeatureRequestsShareOneRun(t *testing.T) {
+	s := newTestServer(t, Config{Options: fastServeOptions()})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	for _, path := range []string{"/v1/datasets/demo/users/1/features", "/v1/datasets/demo/users/2/features"} {
+		if code, body := get(t, ts, path); code != http.StatusOK {
+			t.Fatalf("%s: %d %s", path, code, body)
+		}
+	}
+	var ranks []string
+	for r := 3; r <= 40; r++ {
+		ranks = append(ranks, strconv.Itoa(r))
+	}
+	code, body := postJSON(t, ts, "/v1/datasets/demo/users:batch", `{"ranks":[`+strings.Join(ranks, ",")+`]}`)
+	if code != http.StatusOK {
+		t.Fatalf("batch: %d %s", code, body)
+	}
+	var view struct {
+		Users []json.RawMessage `json:"users"`
+	}
+	if err := json.Unmarshal(body, &view); err != nil || len(view.Users) != len(ranks) {
+		t.Fatalf("batch decoded %d users (err %v), want %d", len(view.Users), err, len(ranks))
+	}
+	if runs, _, _ := s.met.counters(); runs != 1 {
+		t.Fatalf("eliteserve_runs_total = %d, want 1", runs)
+	}
+	if hits := s.met.featureShardHits(); hits != 0 {
+		t.Fatalf("rows a run computed counted %d shard hits", hits)
+	}
+}
+
+// TestFeatureRowsConcurrent drives the per-dataset row memo from many
+// requests at once — filled from cache shards on one server, from a run on
+// a cache-less one — and checks every body against a sequential reference.
+func TestFeatureRowsConcurrent(t *testing.T) {
+	ds, activity := testFixtures(t)
+	cached := fastServeOptions()
+	cached.CacheDir = t.TempDir()
+	paths := make([]string, 8)
+	want := make([][]byte, len(paths))
+	ref := httptest.NewServer(newTestServer(t, Config{Options: cached}))
+	defer ref.Close()
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/v1/datasets/demo/users/%d/features", i+1)
+		var code int
+		if code, want[i] = get(t, ref, paths[i]); code != http.StatusOK {
+			t.Fatalf("reference %s: %d", paths[i], code)
+		}
+	}
+
+	for _, opts := range []core.Options{cached, fastServeOptions()} {
+		s := New(Config{Options: opts, BodyCacheBytes: -1})
+		if err := s.RegisterDataset("demo", ds, activity, "test"); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s)
+		var wg sync.WaitGroup
+		for i := range paths {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, err := ts.Client().Get(ts.URL + paths[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer resp.Body.Close()
+				body, err := io.ReadAll(resp.Body)
+				if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(body, want[i]) {
+					t.Errorf("cache %q: %s: %d %v, body differs from reference", opts.CacheDir, paths[i], resp.StatusCode, err)
+				}
+			}()
+		}
+		wg.Wait()
+		ts.Close()
 	}
 }

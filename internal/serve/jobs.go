@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"elites/internal/cache"
 	"elites/internal/core"
 )
 
@@ -95,6 +94,9 @@ func (j *job) result() (runOutcome, error, bool) {
 	}
 }
 
+// maxJobsKept bounds a server's retained finished jobs.
+const maxJobsKept = 64
+
 // jobTable tracks live and recently finished jobs, bounded: completed jobs
 // beyond keep are evicted oldest-first (running jobs are never evicted).
 type jobTable struct {
@@ -105,17 +107,12 @@ type jobTable struct {
 }
 
 func newJobTable(keep int) *jobTable {
-	if keep < 1 {
-		keep = 64
-	}
 	return &jobTable{byID: map[string]*job{}, keep: keep}
 }
 
 // jobID derives the content-addressed id for a coalescer key.
 func jobID(key string) string {
-	h := cache.NewHasher()
-	h.String(key)
-	return fmt.Sprintf("j%012x", h.Sum()&0xffffffffffff)
+	return fmt.Sprintf("j%012x", core.KeyDigest(key)&0xffffffffffff)
 }
 
 // getOrCreate returns the job for key, creating (and marking created=true)

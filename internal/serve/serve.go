@@ -4,12 +4,14 @@
 // paper's analysis battery on demand through core.Characterizer, and
 // answers JSON (or rendered-text) queries about the results.
 //
-// The serving path is built for heavy identical traffic over a small set
-// of datasets:
+// Every result-shaped endpoint — report, stage, per-user features and
+// users:batch — answers through one path (respond): the request identity
+// (dataset digest, core's options digest, canonical stage subset, format)
+// keys an encoded-body memo (bodycache.go); a miss builds the body through
+// a single-flight coalescer on the same key, so N identical concurrent
+// requests trigger exactly one pipeline run (coalesce.go); clean bodies are
+// memoized, degraded ones never are. Around that path:
 //
-//   - a single-flight coalescer keyed on the same (dataset digest, options
-//     digest) identity as the result cache, so N identical concurrent
-//     requests trigger exactly one pipeline run (coalesce.go);
 //   - a bounded admission queue that sheds overload with 429 instead of
 //     accumulating goroutines (admission.go);
 //   - request-context cancellation threaded down to the pipeline
@@ -20,11 +22,11 @@
 //   - Prometheus-style /metrics with request, run, and stage-cache
 //     accounting (metrics.go).
 //
-// Per-user feature traffic (features.go) adds one more tier: feature rows
-// are stored as fixed-width shards in the result cache, so a warm
-// /users/{rank}/features or users:batch request decodes one shard instead
-// of running the pipeline — even in a fresh server process sharing the
-// cache directory.
+// Per-user feature requests (features.go) read one per-dataset row memo,
+// filled either with the feature shards a features run stored in the
+// result cache — so a fresh server process sharing the cache directory
+// answers without running the pipeline — or with the matrix a run in this
+// process computed.
 //
 // Endpoints: GET /healthz, GET /metrics, GET /v1/datasets,
 // GET /v1/datasets/{id}, GET|POST /v1/datasets/{id}/report,
@@ -42,6 +44,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -49,7 +52,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"elites/internal/cache"
 	"elites/internal/core"
 	"elites/internal/features"
 	"elites/internal/gen"
@@ -80,8 +82,6 @@ type Config struct {
 	// requests: a run still going after this long detaches into a job and
 	// the client gets 202 + job id. 0 serves everything synchronously.
 	AsyncAfter time.Duration
-	// JobsKept bounds retained finished jobs (0 means 64).
-	JobsKept int
 	// BodyCacheBytes caps the in-memory memo of encoded response bodies
 	// (0 means 64 MiB; < 0 disables). Bodies are constants per request
 	// identity — datasets are immutable and options fixed — so the memo
@@ -100,8 +100,8 @@ type Config struct {
 	SlowRequest time.Duration
 }
 
-// dataset is one registered dataset plus its memoized identity and
-// per-user degree ranking.
+// dataset is one registered dataset plus its memoized identity, per-user
+// degree ranking and feature rows.
 type dataset struct {
 	ID       string
 	Source   string
@@ -114,12 +114,16 @@ type dataset struct {
 	outDeg   []int
 	inDeg    []int
 
-	// featMu guards the per-dataset feature memos: the full matrix (set
-	// after a pipeline run computed it) and individually decoded shards
-	// (hydrated from the result cache without a run). See features.go.
-	featMu   sync.Mutex
-	feat     *features.Matrix
-	shardMem map[int]*features.Rows
+	// shards is the result-cache shard store a features run over this
+	// dataset writes (nil when the server runs cache-less).
+	shards *features.Store
+
+	// rowsMu guards the feature-row memo, keyed by shard index: shards
+	// decoded from the result cache, or views of a matrix a run in this
+	// process computed (rowsFromRun). See features.go.
+	rowsMu      sync.Mutex
+	rows        map[int]*features.Rows
+	rowsFromRun bool
 }
 
 // Server is the HTTP serving layer. Construct with New, register datasets,
@@ -132,14 +136,7 @@ type Server struct {
 	jobs       *jobTable
 	bodies     *bodyCache
 	met        *metrics
-	optsDigest uint64
-
-	// shards is the result-cache instance feature shards are read from
-	// (nil when the server runs cache-less); featDigest is the
-	// features.OptionsDigest half of every shard key, fixed at
-	// construction like optsDigest.
-	shards     *cache.Cache
-	featDigest uint64
+	optsDigest uint64 // cfg.Options.Digest(), the options half of every key
 
 	// draining flips once (Drain or POST /v1/admin/drain) and never back:
 	// new pipeline work is refused with 503 while in-flight requests and
@@ -175,21 +172,12 @@ func New(cfg Config) *Server {
 		mux:        http.NewServeMux(),
 		flight:     newFlight(),
 		admit:      newAdmission(cfg.MaxConcurrent, cfg.MaxQueue),
-		jobs:       newJobTable(cfg.JobsKept),
+		jobs:       newJobTable(maxJobsKept),
 		bodies:     newBodyCache(cfg.BodyCacheBytes),
 		met:        newMetrics(time.Now()),
-		optsDigest: optionsDigest(cfg.Options),
-		featDigest: features.OptionsDigest(features.Options{
-			BetweennessSources: cfg.Options.BetweennessSources,
-			Seed:               cfg.Options.Seed,
-		}),
-		jitter:   mathx.NewRNG(cfg.Options.Seed).Derive("serve/retry-after"),
-		datasets: map[string]*dataset{},
-	}
-	if cfg.Options.CacheDir != "" && !cfg.Options.NoCache {
-		if cc, err := cache.New(cfg.Options.CacheDir); err == nil {
-			s.shards = cc
-		}
+		optsDigest: cfg.Options.Digest(),
+		jitter:     mathx.NewRNG(cfg.Options.Seed).Derive("serve/retry-after"),
+		datasets:   map[string]*dataset{},
 	}
 	s.route("GET /healthz", "healthz", s.handleHealthz)
 	s.route("GET /readyz", "readyz", s.handleReadyz)
@@ -212,31 +200,6 @@ func New(cfg Config) *Server {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
-}
-
-// optionsDigest folds every result-shaping option into the server's half
-// of the request identity (worker budgets and observability knobs stay
-// out, per the determinism contract).
-func optionsDigest(o core.Options) uint64 {
-	h := cache.NewHasher()
-	for _, v := range []uint64{
-		uint64(o.DistanceSources), uint64(o.BetweennessSources),
-		uint64(o.EigenK), uint64(o.EigenIters), uint64(o.BootstrapReps),
-		uint64(o.TopNGrams), o.Seed,
-		boolWord(o.SkipEigen), boolWord(o.SkipBetweenness),
-		boolWord(o.SkipBootstrap), boolWord(o.SkipCategories),
-		boolWord(o.Features),
-	} {
-		h.Word(v)
-	}
-	return h.Sum()
-}
-
-func boolWord(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // --- dataset registration ----------------------------------------------------
@@ -269,6 +232,10 @@ func (s *Server) RegisterDataset(id string, ds *twitter.Dataset, activity *times
 	d := &dataset{
 		ID: id, Source: source, ds: ds, activity: activity,
 		digest: store.DatasetDigest(ds, activity),
+		rows:   map[int]*features.Rows{},
+	}
+	if st, ok := s.cfg.Options.FeatureShards(d.digest); ok {
+		d.shards = &st
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -335,6 +302,33 @@ func (s *Server) dataset(id string) (*dataset, bool) {
 	defer s.mu.Unlock()
 	d, ok := s.datasets[id]
 	return d, ok
+}
+
+// pathDataset resolves the request's {id} path segment, answering 404
+// itself when no such dataset is registered.
+func (s *Server) pathDataset(w http.ResponseWriter, r *http.Request) (*dataset, bool) {
+	d, ok := s.dataset(r.PathValue("id"))
+	if !ok {
+		writeError(w, http.StatusNotFound, "unknown dataset %q", r.PathValue("id"))
+	}
+	return d, ok
+}
+
+// pathRank resolves the request's {rank} path segment to its node,
+// answering 400 for a malformed or non-positive rank and 404 past the last
+// user itself.
+func pathRank(w http.ResponseWriter, r *http.Request, d *dataset) (rank, node int, ok bool) {
+	rank, err := strconv.Atoi(r.PathValue("rank"))
+	if err != nil || rank < 1 {
+		writeError(w, http.StatusBadRequest, "rank must be a positive integer, got %q", r.PathValue("rank"))
+		return 0, 0, false
+	}
+	byRank, _, _ := d.ranking()
+	if rank > len(byRank) {
+		writeError(w, http.StatusNotFound, "rank %d out of range (dataset has %d users)", rank, len(byRank))
+		return 0, 0, false
+	}
+	return rank, int(byRank[rank-1]), true
 }
 
 // ranking memoizes the out-degree ranking used by the per-user endpoints
@@ -416,14 +410,24 @@ func (s *Server) route(pattern, label string, h http.HandlerFunc) {
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	b, err := json.MarshalIndent(v, "", "  ")
+	out, err := encodeBody(v)
 	if err != nil {
 		http.Error(w, `{"error":"encoding failure"}`, http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	w.Write(append(b, '\n'))
+	w.Write(out.body)
+}
+
+// encodeBody renders a JSON view as a response body: indented, with a
+// trailing newline.
+func encodeBody(v any) (runOutcome, error) {
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return runOutcome{}, err
+	}
+	return runOutcome{body: append(b, '\n')}, nil
 }
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
@@ -434,32 +438,20 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 // be known, and the result is deduplicated in canonical order so every
 // spelling of the same subset coalesces onto one run (and one cache key).
 func parseStages(raw string) ([]string, error) {
-	if raw == "" {
-		return nil, nil
-	}
+	known := core.StageNames()
 	want := map[string]bool{}
 	for _, s := range strings.Split(raw, ",") {
 		s = strings.TrimSpace(s)
 		if s == "" {
 			continue
 		}
-		known := false
-		for _, name := range core.StageNames() {
-			if s == name {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return nil, fmt.Errorf("unknown stage %q (known: %s)", s, strings.Join(core.StageNames(), ","))
+		if !slices.Contains(known, s) {
+			return nil, fmt.Errorf("unknown stage %q (known: %s)", s, strings.Join(known, ","))
 		}
 		want[s] = true
 	}
-	if len(want) == 0 {
-		return nil, nil
-	}
 	var out []string
-	for _, name := range core.StageNames() {
+	for _, name := range known {
 		if want[name] {
 			out = append(out, name)
 		}
@@ -614,14 +606,56 @@ func (s *Server) buildReport(ctx context.Context, d *dataset, stages []string, f
 		rep.Render(&buf)
 		return runOutcome{body: buf.Bytes(), degraded: degraded}, nil
 	case "json", "":
-		b, merr := json.MarshalIndent(core.NewReportView(rep), "", "  ")
-		if merr != nil {
-			return runOutcome{}, merr
-		}
-		return runOutcome{body: append(b, '\n'), degraded: degraded}, nil
+		out, merr := encodeBody(core.NewReportView(rep))
+		out.degraded = degraded
+		return out, merr
 	}
 	return runOutcome{}, fmt.Errorf("serve: unknown format %q", format)
 }
+
+// respond answers one request identity, the sequence every result-shaped
+// endpoint shares: the encoded-body memo first, else build (which runs or
+// coalesces whatever the body needs), then run errors mapped onto HTTP, a
+// memo put for clean bodies, and the write.
+func (s *Server) respond(w http.ResponseWriter, r *http.Request, key, format string, build func() (runOutcome, error)) {
+	sp := obs.SpanFromContext(r.Context())
+	if body, ok := s.bodies.get(key); ok {
+		s.met.addBodyHit()
+		sp.SetAttr("body_cache", "hit")
+		w.Header().Set("Content-Type", contentType(format))
+		w.Write(body)
+		return
+	}
+	sp.SetAttr("body_cache", "miss")
+	out, err := build()
+	if err != nil {
+		s.writeRunError(w, r, err)
+		return
+	}
+	if !out.degraded {
+		s.bodies.put(key, out.body)
+	}
+	s.writeOutcome(w, format, out)
+}
+
+// coalesced runs fn through the single-flight layer under key, with ctx as
+// this caller's waiter context, and counts a joined run. The coalescer
+// hands fn a detached context; the caller's span is re-attached to it so
+// the run's spans land in the leader request's trace.
+func (s *Server) coalesced(ctx context.Context, key string, fn func(context.Context, *progress) (runOutcome, error)) (runOutcome, error) {
+	sp := obs.SpanFromContext(ctx)
+	out, joined, err := s.flight.Do(ctx, key, func(runCtx context.Context, prog *progress) (runOutcome, error) {
+		return fn(obs.ContextWithSpan(runCtx, sp), prog)
+	})
+	if joined {
+		s.met.addCoalesced()
+	}
+	return out, err
+}
+
+// errAnswered is returned by a build that has already written the response
+// itself (a 202 job hand-off, a 503 job-id collision).
+var errAnswered = errors.New("serve: response already written")
 
 // writeOutcome writes a run's body, marking degraded responses with a
 // Warning header and counting them, so clients and operators can tell a
@@ -638,6 +672,8 @@ func (s *Server) writeOutcome(w http.ResponseWriter, format string, out runOutco
 // writeRunError maps run failures onto HTTP semantics.
 func (s *Server) writeRunError(w http.ResponseWriter, r *http.Request, err error) {
 	switch {
+	case errors.Is(err, errAnswered):
+		// build wrote the response itself.
 	case errors.Is(err, ErrBusy):
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
 		writeError(w, http.StatusTooManyRequests, "server busy: admission queue full")
@@ -740,18 +776,14 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
-	d, ok := s.dataset(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown dataset %q", r.PathValue("id"))
-		return
+	if d, ok := s.pathDataset(w, r); ok {
+		writeJSON(w, http.StatusOK, d.info())
 	}
-	writeJSON(w, http.StatusOK, d.info())
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	d, ok := s.dataset(r.PathValue("id"))
+	d, ok := s.pathDataset(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown dataset %q", r.PathValue("id"))
 		return
 	}
 	stages, err := parseStages(r.URL.Query().Get("stages"))
@@ -768,61 +800,38 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := s.reportKey(d, stages, format)
-	reqSpan := obs.SpanFromContext(r.Context())
-	if body, ok := s.bodies.get(key); ok {
-		s.met.addBodyHit()
-		reqSpan.SetAttr("body_cache", "hit")
-		w.Header().Set("Content-Type", contentType(format))
-		w.Write(body)
-		return
-	}
-	reqSpan.SetAttr("body_cache", "miss")
 	run := func(ctx context.Context, prog *progress) (runOutcome, error) {
-		// The coalescer hands fn a detached context; re-attach the leader
-		// request's span so the pipeline spans land in its trace.
-		return s.buildReport(obs.ContextWithSpan(ctx, reqSpan), d, stages, format, prog)
+		return s.buildReport(ctx, d, stages, format, prog)
 	}
-
-	if s.cfg.AsyncAfter > 0 && r.Method == http.MethodPost {
-		s.handleReportAsync(w, r, d, key, format, run)
-		return
-	}
-	out, joined, err := s.flight.Do(r.Context(), key, run)
-	if joined {
-		s.met.addCoalesced()
-	}
-	if err != nil {
-		s.writeRunError(w, r, err)
-		return
-	}
-	if !out.degraded {
-		s.bodies.put(key, out.body)
-	}
-	s.writeOutcome(w, format, out)
+	s.respond(w, r, key, format, func() (runOutcome, error) {
+		if s.cfg.AsyncAfter > 0 && r.Method == http.MethodPost {
+			return s.awaitJob(w, r, d, key, format, run)
+		}
+		return s.coalesced(r.Context(), key, run)
+	})
 }
 
-// handleReportAsync implements the 202 job model: wait up to the latency
-// budget, then detach. The job is its own (never-cancelling) waiter, so
-// the run continues after the client disconnects.
-func (s *Server) handleReportAsync(w http.ResponseWriter, r *http.Request, d *dataset, key, format string, run func(context.Context, *progress) (runOutcome, error)) {
+// awaitJob implements the 202 job model: the run detaches into a job that
+// is its own never-cancelling waiter, so it continues after the client
+// disconnects, and the request waits up to the latency budget for it. Past
+// the budget it answers 202 with the job's URLs and returns errAnswered.
+func (s *Server) awaitJob(w http.ResponseWriter, r *http.Request, d *dataset, key, format string, run func(context.Context, *progress) (runOutcome, error)) (runOutcome, error) {
 	j, created, err := s.jobs.getOrCreate(key, d.ID, format, time.Now())
 	if err != nil {
 		// A live job under the same content-addressed id belongs to a
 		// different request identity (hash collision) — refuse rather
 		// than hand this client that job's body.
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
-		return
+		return runOutcome{}, errAnswered
 	}
 	if created {
+		jobCtx := context.WithoutCancel(r.Context())
 		go func() {
-			out, joined, err := s.flight.Do(context.Background(), key,
+			out, err := s.coalesced(jobCtx, key,
 				func(ctx context.Context, prog *progress) (runOutcome, error) {
 					j.setProgress(prog)
 					return run(ctx, prog)
 				})
-			if joined {
-				s.met.addCoalesced()
-			}
 			if err == nil && !out.degraded {
 				s.bodies.put(key, out.body)
 			}
@@ -834,11 +843,7 @@ func (s *Server) handleReportAsync(w http.ResponseWriter, r *http.Request, d *da
 	select {
 	case <-j.done:
 		out, err, _ := j.result()
-		if err != nil {
-			s.writeRunError(w, r, err)
-			return
-		}
-		s.writeOutcome(w, format, out)
+		return out, err
 	case <-budget.C:
 		s.met.addJobQueued()
 		writeJSON(w, http.StatusAccepted, map[string]string{
@@ -846,20 +851,20 @@ func (s *Server) handleReportAsync(w http.ResponseWriter, r *http.Request, d *da
 			"status_url": "/v1/jobs/" + j.ID,
 			"result_url": "/v1/jobs/" + j.ID + "/result",
 		})
+		return runOutcome{}, errAnswered
 	case <-r.Context().Done():
 		// Client gone; the job keeps running. Recorded as 499.
+		return runOutcome{}, r.Context().Err()
 	}
 }
 
 func (s *Server) handleStage(w http.ResponseWriter, r *http.Request) {
-	d, ok := s.dataset(r.PathValue("id"))
+	d, ok := s.pathDataset(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown dataset %q", r.PathValue("id"))
 		return
 	}
 	stage := r.PathValue("stage")
-	stages, err := parseStages(stage)
-	if err != nil || len(stages) != 1 {
+	if stages, err := parseStages(stage); err != nil || len(stages) != 1 {
 		writeError(w, http.StatusBadRequest, "unknown stage %q (known: %s)",
 			stage, strings.Join(core.StageNames(), ","))
 		return
@@ -870,47 +875,27 @@ func (s *Server) handleStage(w http.ResponseWriter, r *http.Request) {
 	// The requested stage is part of the identity: the body names it, even
 	// when two stages would share a run subset.
 	key := s.reportKey(d, runStages, "stage:"+stage)
-	reqSpan := obs.SpanFromContext(r.Context())
-	if body, ok := s.bodies.get(key); ok {
-		s.met.addBodyHit()
-		reqSpan.SetAttr("body_cache", "hit")
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(body)
-		return
-	}
-	reqSpan.SetAttr("body_cache", "miss")
-	out, joined, err := s.flight.Do(r.Context(), key, func(ctx context.Context, prog *progress) (runOutcome, error) {
-		rep, rerr := s.runBattery(obs.ContextWithSpan(ctx, reqSpan), d, runStages, prog)
-		if rerr != nil && !degradable(ctx, rep, rerr) {
-			return runOutcome{}, rerr
-		}
-		frag, verr := core.StageView(rep, stage)
-		if verr != nil {
-			return runOutcome{}, verr
-		}
-		payload := map[string]any{
-			"dataset": d.ID, "stage": stage, "result": frag,
-		}
-		if rerr != nil {
-			payload["degraded"] = true
-		}
-		b, merr := json.MarshalIndent(payload, "", "  ")
-		if merr != nil {
-			return runOutcome{}, merr
-		}
-		return runOutcome{body: append(b, '\n'), degraded: rerr != nil}, nil
+	s.respond(w, r, key, "json", func() (runOutcome, error) {
+		return s.coalesced(r.Context(), key, func(ctx context.Context, prog *progress) (runOutcome, error) {
+			rep, rerr := s.runBattery(ctx, d, runStages, prog)
+			if rerr != nil && !degradable(ctx, rep, rerr) {
+				return runOutcome{}, rerr
+			}
+			frag, verr := core.StageView(rep, stage)
+			if verr != nil {
+				return runOutcome{}, verr
+			}
+			payload := map[string]any{
+				"dataset": d.ID, "stage": stage, "result": frag,
+			}
+			if rerr != nil {
+				payload["degraded"] = true
+			}
+			out, err := encodeBody(payload)
+			out.degraded = rerr != nil
+			return out, err
+		})
 	})
-	if joined {
-		s.met.addCoalesced()
-	}
-	if err != nil {
-		s.writeRunError(w, r, err)
-		return
-	}
-	if !out.degraded {
-		s.bodies.put(key, out.body)
-	}
-	s.writeOutcome(w, "json", out)
 }
 
 // userView is the per-user payload: degree ranking plus the §IV
@@ -940,22 +925,15 @@ type userProfileView struct {
 }
 
 func (s *Server) handleUser(w http.ResponseWriter, r *http.Request) {
-	d, ok := s.dataset(r.PathValue("id"))
+	d, ok := s.pathDataset(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown dataset %q", r.PathValue("id"))
 		return
 	}
-	rank, err := strconv.Atoi(r.PathValue("rank"))
-	if err != nil || rank < 1 {
-		writeError(w, http.StatusBadRequest, "rank must be a positive integer, got %q", r.PathValue("rank"))
+	rank, node, ok := pathRank(w, r, d)
+	if !ok {
 		return
 	}
-	byRank, outDeg, inDeg := d.ranking()
-	if rank > len(byRank) {
-		writeError(w, http.StatusNotFound, "rank %d out of range (dataset has %d users)", rank, len(byRank))
-		return
-	}
-	node := int(byRank[rank-1])
+	_, outDeg, inDeg := d.ranking()
 	v := userView{
 		Rank: rank, Node: node,
 		OutDegree: outDeg[node], InDegree: inDeg[node],

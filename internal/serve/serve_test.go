@@ -27,7 +27,7 @@ var (
 	fixActivity *timeseries.DailySeries
 )
 
-func testFixtures(t *testing.T) (*twitter.Dataset, *timeseries.DailySeries) {
+func testFixtures(t testing.TB) (*twitter.Dataset, *timeseries.DailySeries) {
 	t.Helper()
 	fixOnce.Do(func() {
 		p, err := twitter.NewPlatform(twitter.DefaultPlatformConfig(400))
@@ -54,7 +54,7 @@ func fastServeOptions() core.Options {
 	}
 }
 
-func newTestServer(t *testing.T, cfg Config) *Server {
+func newTestServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	ds, activity := testFixtures(t)
 	s := New(cfg)
